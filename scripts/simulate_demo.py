@@ -45,9 +45,6 @@ def run():
     DEMO_DIR.mkdir(exist_ok=True)
     (DEMO_DIR / "small.csv").write_text(synth_csv(200, 8, seed=1))
     (DEMO_DIR / "crowded.csv").write_text(synth_csv(70, 40, seed=2))
-    # Ridge and elastic-net get fixed penalties: on the crowded panel the
-    # tuning split leaves far fewer fit rows than assets, where first-order
-    # solves stall below tolerance and every grid point would score -inf.
     config = {
         "window_length": 36,
         "turnover": "drift",
@@ -65,8 +62,8 @@ def run():
             "PCA-MVP",
             "JM-MVP",
             {"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"},
-            {"name": "Ridge-MVP", "kind": "qml_l2", "rho": 0.5},
-            {"name": "EN-MVP", "kind": "qml_elastic", "rho": 0.5, "alpha": 0.5},
+            {"name": "Ridge-MVP", "kind": "qml_l2", "rho": "tune"},
+            {"name": "EN-MVP", "kind": "qml_elastic", "rho": "tune", "alpha": 0.5},
         ],
     }
     config_path = DEMO_DIR / "demo.yaml"

@@ -108,7 +108,6 @@ class RollingConfig:
     window_length: int = 120
     tuning_grid: tuple[float, ...] = DEFAULT_RHO_GRID
     tune_split: float = 0.75
-    retune_each_window: bool = False
     keep_estimates: bool = False
     solver: SolverOptions = field(default_factory=SolverOptions)
 
@@ -238,8 +237,8 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
     Window t (t = T .. n-1) estimates on rows [t-T, t) and realizes the
     weighted return of row t, so no estimate ever sees its evaluation month.
     Penalized strategies with rho=None are tuned once on the first T rows
-    (the first estimation window) and the tuned value is held fixed unless
-    retune_each_window is set.
+    (the first estimation window) and the tuned value is held fixed for
+    every window.
     """
     if not panel.is_sanitized:
         raise InsufficientDataError("panel has missing cells; forward_fill first")
@@ -255,7 +254,7 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
         if config.keep_estimates:
             run.estimates = []
         rho = spec.rho
-        if spec.penalized and rho is None and not config.retune_each_window:
+        if spec.penalized and rho is None:
             try:
                 rho, curve = tune_rho(
                     panel.returns[:t_len],
@@ -276,20 +275,8 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
             run.tuning_curve = curve
         for t in range(t_len, n):
             window = panel.returns[t - t_len : t]
-            window_rho = rho
-            if spec.penalized and spec.rho is None and config.retune_each_window:
-                window_rho, _ = tune_rho(
-                    window,
-                    spec.penalty_kind,
-                    config.tuning_grid,
-                    split=config.tune_split,
-                    alpha=spec.alpha,
-                    opts=config.solver,
-                )
             try:
-                wv, record, estimate = _window_weights(
-                    spec, window, window_rho, t, config.solver
-                )
+                wv, record, estimate = _window_weights(spec, window, rho, t, config.solver)
             except PrecisError as exc:
                 run.failures.append((t, f"{type(exc).__name__}: {exc}"))
                 continue

@@ -151,15 +151,16 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
         float(grid_raw.get("stop", 3.0)),
         float(grid_raw.get("step", 0.1)),
     )
-    solver_raw = raw.get("solver", {})
+    solver_raw = dict(raw.get("solver", {}))
     try:
         solver = SolverOptions(
-            tol=float(solver_raw.get("tol", 1e-6)),
-            max_iter=int(solver_raw.get("max_iter", 10000)),
-            algorithm=str(solver_raw.get("algorithm", "auto")),
+            tol=float(solver_raw.pop("tol", 1e-6)),
+            max_iter=int(solver_raw.pop("max_iter", 10000)),
         )
     except ValueError as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
+    if solver_raw:
+        raise ConfigError(f"unknown solver keys {sorted(solver_raw)}")
     out_raw = Path(raw.get("out", "out"))
     values = dict(
         datasets=tuple(datasets),

@@ -12,42 +12,21 @@ with P summing |psi_ij| (l1), psi_ij^2 (l2), or the (1-alpha)/alpha blend
 (elastic) over i != j; the diagonal is never penalized. Internally the
 objective is divided by T/2 (effective penalty weight 2 rho / T), which
 leaves the maximizer unchanged while keeping rho on the scale used for
-grid tuning. Two solvers are provided:
-
-  * "row_cd"   - primal block coordinate ascent: sweep the rows/columns of
-                 psi, solving each row's soft-threshold coordinate-descent
-                 subproblem while the rest of the matrix is held fixed.
-                 Default for the l1 penalty. Monotone in the objective and
-                 positive definite by construction (each row update fixes
-                 the Schur complement at 1/s_ii > 0).
-  * "proximal" - proximal gradient ascent with backtracking line search;
-                 candidate steps are rejected unless a Cholesky
-                 factorization succeeds and the objective does not
-                 decrease. Default for the l2 and elastic penalties.
-
-Both solvers stop on the same first-order optimality residual: the largest
-entrywise distance between the smooth-part gradient and the penalty
-subdifferential, measured on the T/2-normalized objective.
+grid tuning. One solver covers all three penalties: graphical-lasso ADMM
+with an elementwise elastic-net prox, run on the correlation matrix so that
+its conditioning does not depend on the scale of individual assets. It
+stops on the first-order optimality residual: the largest entrywise
+distance between the smooth-part gradient and the penalty subdifferential,
+measured on the T/2-normalized objective.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a normal install, but optional
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+from scipy.linalg import lapack
 
 from .errors import (
     DegenerateMatrixError,
@@ -56,7 +35,6 @@ from .errors import (
     TuningError,
 )
 from .linalg import (
-    SINGULARITY_RTOL,
     check_symmetric,
     invert_spd,
     sample_covariance,
@@ -67,6 +45,12 @@ from .linalg import (
 logger = logging.getLogger(__name__)
 
 PENALTY_KINDS = ("l1", "l2", "elastic")
+
+# ADMM penalty schedule in correlation units: the start value, the ratio of
+# primal to dual residual norms that triggers a change, and the factor applied.
+ADMM_RHO0 = 1.0
+ADMM_BALANCE = 2.0
+ADMM_RHO_STEP = 4.0
 
 
 @dataclass(frozen=True)
@@ -103,23 +87,18 @@ class PenaltySpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the penalized QML solvers.
+    """Knobs for the penalized QML solver.
 
     tol bounds the first-order optimality residual on the T/2-normalized
     objective, measured relative to max(1, max|S_ij|) so the same setting
     is meaningful for unit-scale matrices and percent-unit return data.
-    max_iter counts outer sweeps (row_cd) or gradient steps (proximal).
-    algorithm "auto" picks row_cd for l1 and proximal for l2 / elastic.
+    max_iter counts ADMM iterations.
     """
 
     tol: float = 1e-6
     max_iter: int = 10000
-    algorithm: str = "auto"
-    record_trace: bool = True
 
     def __post_init__(self):
-        if self.algorithm not in ("auto", "row_cd", "proximal"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("tol must be positive and max_iter at least 1")
 
@@ -135,7 +114,6 @@ class PrecisionEstimate:
     iterations: int = 0
     converged: bool = True
     residual: float = 0.0
-    objective_trace: np.ndarray | None = None
     lw_intensity: float | None = None
 
 
@@ -269,194 +247,77 @@ def _optimality_residual(
     residual is just |w_ii - s_ii|; off-diagonals subtract the l2 gradient
     and measure distance to lam1 * [-1, 1] at zeros.
     """
-    diag = np.eye(psi.shape[0], dtype=bool)
     grad = w - s
-    grad[~diag] -= 2.0 * lam2 * psi[~diag]
-    res_diag = float(np.abs(grad[diag]).max())
-    off_grad = grad[~diag]
-    off_psi = psi[~diag]
-    at_zero = off_psi == 0.0
-    res_off = 0.0
-    if np.any(~at_zero):
-        res_off = float(np.abs(off_grad[~at_zero] - lam1 * np.sign(off_psi[~at_zero])).max())
-    if np.any(at_zero):
-        res_off = max(res_off, float(np.maximum(np.abs(off_grad[at_zero]) - lam1, 0.0).max()))
-    return max(res_diag, res_off)
+    off_grad = grad - 2.0 * lam2 * psi
+    dist = np.where(
+        psi != 0.0,
+        np.abs(off_grad - lam1 * np.sign(psi)),
+        np.maximum(np.abs(off_grad) - lam1, 0.0),
+    )
+    np.fill_diagonal(dist, np.abs(np.diagonal(grad)))
+    return float(dist.max())
 
 
-def _chol_inverse(psi: np.ndarray) -> np.ndarray:
-    ident = np.eye(psi.shape[0])
-    chol = np.linalg.cholesky(psi)
-    half = np.linalg.solve(chol, ident)
+def _chol_inverse(psi: np.ndarray) -> np.ndarray | None:
+    """Inverse of psi from its Cholesky factor; None when psi is not positive definite."""
+    chol, info = lapack.dpotrf(psi, lower=True)
+    if info != 0:
+        return None
+    # L^-1 by triangular inversion: dpotri runs many times slower under multithreaded OpenBLAS
+    half, info = lapack.dtrtri(chol, lower=True)
+    if info != 0:
+        return None
     return symmetrize(half.T @ half)
 
 
-@njit(cache=True)
-def _row_cd_kernel(a, c, beta, lam1, lam2, inner_tol, max_sweeps):
-    """Cyclic coordinate descent for 0.5 b'Ab + c'b + lam1 |b|_1 + lam2 |b|_2^2."""
-    k = beta.shape[0]
-    u = a @ beta
-    for _ in range(max_sweeps):
-        biggest = 0.0
-        bmax = 0.0
-        for j in range(k):
-            partial = c[j] + u[j] - a[j, j] * beta[j]
-            mag = abs(partial) - lam1
-            if mag < 0.0:
-                mag = 0.0
-            new = -np.sign(partial) * mag / (a[j, j] + 2.0 * lam2)
-            delta = new - beta[j]
-            if delta != 0.0:
-                for t in range(k):
-                    u[t] += a[t, j] * delta
-                beta[j] = new
-                if abs(delta) > biggest:
-                    biggest = abs(delta)
-            if abs(new) > bmax:
-                bmax = abs(new)
-        if biggest <= inner_tol * (1.0 + bmax):
-            break
-    return beta
+def _solve_admm(
+    s: np.ndarray, lam1: float, lam2: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, int, bool, float]:
+    """Graphical-lasso ADMM (Boyd et al. 2011, sec. 6.5) on the correlation matrix.
 
-
-def _row_subproblem(
-    a: np.ndarray, c: np.ndarray, beta: np.ndarray, lam1: float, lam2: float, inner_tol: float
-) -> np.ndarray:
-    return _row_cd_kernel(
-        np.ascontiguousarray(a), c, beta, float(lam1), float(lam2), float(inner_tol), 100
-    )
-
-
-def _solve_row_cd(
-    s: np.ndarray, lam1: float, lam2: float, psi0: np.ndarray, opts: SolverOptions
-) -> tuple[np.ndarray, int, bool, float, list[float]]:
-    """Primal row/column sweep: each pass re-solves every hedge-row problem.
-
-    Holding all but one row/column of psi fixed, the optimal row solves a
-    penalized quadratic whose Gram matrix is s_ii times the inverse of the
-    retained block; that inverse comes from the maintained w = psi^{-1} via
-    the block-inverse identity, and the diagonal update pins the Schur
-    complement at 1/s_ii, so every iterate stays positive definite.
+    With d = sqrt(diag S), psi = Z / (d d') turns the problem into one on
+    R = S / (d d') with off-diagonal penalties lam1 / (d_i d_j) and
+    lam2 / (d_i d_j)^2, the same maximizer but conditioned independently of
+    asset scale. Each iteration solves the log-det block in closed form from
+    one eigendecomposition, applies the elementwise elastic-net prox to the
+    off-diagonals, and updates the scaled dual U. The ADMM penalty follows
+    residual balancing (sec. 3.4.1). The stopping test is the optimality
+    residual of psi itself, at the original scale; an iterate whose
+    Cholesky factorization fails is not converged.
     """
     p = s.shape[0]
-    psi = psi0.copy()
-    w = _chol_inverse(psi)
-    inner_tol = max(opts.tol * 1e-2, 1e-13)
-    trace: list[float] = []
-    converged = False
-    residual = np.inf
-    sweeps = 0
-    for sweeps in range(1, opts.max_iter + 1):
-        for i in range(p):
-            rest = np.arange(p) != i
-            s22 = s[i, i]
-            w12 = w[rest, i]
-            q = w[np.ix_(rest, rest)] - np.outer(w12, w12) / w[i, i]
-            beta = _row_subproblem(
-                s22 * q, s[rest, i].copy(), psi[rest, i].copy(), lam1, lam2, inner_tol
-            )
-            qb = q @ beta
-            psi[rest, i] = beta
-            psi[i, rest] = beta
-            psi[i, i] = 1.0 / s22 + float(beta @ qb)
-            w[i, i] = s22
-            w[rest, i] = -s22 * qb
-            w[i, rest] = -s22 * qb
-            w[np.ix_(rest, rest)] = q + s22 * np.outer(qb, qb)
-        w = _chol_inverse(psi)  # kill incremental drift once per sweep
-        residual = _optimality_residual(psi, w, s, lam1, lam2)
-        if opts.record_trace:
-            trace.append(_qml_objective(psi, s, lam1, lam2))
-        if residual <= opts.tol:
-            converged = True
-            break
-    return symmetrize(psi), sweeps, converged, residual, trace
-
-
-def _solve_proximal(
-    s: np.ndarray, lam1: float, lam2: float, psi0: np.ndarray, opts: SolverOptions
-) -> tuple[np.ndarray, int, bool, float, list[float]]:
-    """Proximal gradient ascent with a positive-definiteness-preserving search.
-
-    The smooth part (log-likelihood plus the l2 penalty) is stepped along
-    its gradient; the l1 part enters through soft-thresholding of the
-    off-diagonals. Trial steps use the Barzilai-Borwein spectral length,
-    then backtrack: a candidate is rejected, and the step halved, unless
-    its Cholesky factorization succeeds, the majorization inequality holds,
-    and the composite objective has not decreased.
-    """
-    p = s.shape[0]
-    diag = np.eye(p, dtype=bool)
-    psi = psi0.copy()
-    w = _chol_inverse(psi)
-    # 1/L for the initial iterate: the log-det Hessian norm is the squared
-    # largest eigenvalue of psi^{-1}, and psi0 is diagonal.
-    step = float(1.0 / (np.max(1.0 / np.diag(psi0)) ** 2 + 2.0 * lam2 + 1e-300))
-
-    def smooth(m: np.ndarray) -> float:
-        sign, logdet = np.linalg.slogdet(m)
-        if sign <= 0:
-            return -np.inf
-        return logdet - float(np.sum(s * m)) - lam2 * float((m[~diag] ** 2).sum())
-
-    def gradient() -> np.ndarray:
-        g = w - s
-        g[~diag] -= 2.0 * lam2 * psi[~diag]
-        return g
-
-    h_cur = smooth(psi)
-    obj_cur = h_cur - lam1 * float(np.abs(psi[~diag]).sum())
-    grad = gradient()
-    trace: list[float] = []
-    converged = False
-    residual = np.inf
-    steps = 0
-    for steps in range(1, opts.max_iter + 1):
-        accepted = False
-        while step > 1e-18:
-            cand = psi + step * grad
-            cand[~diag] = np.sign(cand[~diag]) * np.maximum(
-                np.abs(cand[~diag]) - step * lam1, 0.0
-            )
-            cand = symmetrize(cand)
-            try:
-                chol = np.linalg.cholesky(cand)
-            except np.linalg.LinAlgError:
-                step *= 0.5
-                continue
-            diff = cand - psi
-            h_cand = smooth(cand)
-            bound = h_cur + float(np.sum(grad * diff)) - float(np.sum(diff * diff)) / (2 * step)
-            obj_cand = h_cand - lam1 * float(np.abs(cand[~diag]).sum())
-            if h_cand < bound - 1e-12 * abs(bound) or obj_cand < obj_cur - 1e-12 * abs(obj_cur):
-                step *= 0.5
-                continue
-            accepted = True
-            break
-        if not accepted:
-            break  # step size underflow: report the best iterate, not converged
-        half = np.linalg.solve(chol, np.eye(p))
-        w = symmetrize(half.T @ half)
-        psi_prev, grad_prev = psi, grad
-        psi = cand
-        h_cur, obj_cur = h_cand, obj_cand
-        if opts.record_trace:
-            trace.append(obj_cur)
-        grad = gradient()
-        residual = _optimality_residual(psi, w, s, lam1, lam2)
-        if residual <= opts.tol:
-            converged = True
-            break
-        # Spectral (Barzilai-Borwein) trial length for the next step; the
-        # curvature product is nonpositive for a concave smooth part.
-        s_diff = psi - psi_prev
-        y_diff = grad - grad_prev
-        curv = -float(np.sum(s_diff * y_diff))
-        if curv > 0:
-            step = float(np.sum(s_diff * s_diff)) / curv
-        else:
-            step *= 2.0
-    return symmetrize(psi), steps, converged, residual, trace
+    d = np.sqrt(np.diag(s))
+    dd = np.outer(d, d)
+    r = symmetrize(s / dd)
+    off = ~np.eye(p, dtype=bool)
+    kappa1 = np.where(off, lam1 / dd, 0.0)
+    kappa2 = np.where(off, 2.0 * lam2 / dd**2, 0.0)
+    z = np.eye(p)
+    u = np.zeros((p, p))
+    rho = ADMM_RHO0
+    for it in range(1, max_iter + 1):
+        e, q = np.linalg.eigh(rho * (z - u) - r)
+        theta = symmetrize((q * ((e + np.sqrt(e * e + 4.0 * rho)) / (2.0 * rho))) @ q.T)
+        v = theta + u
+        z_prev = z
+        z = np.sign(v) * np.maximum(np.abs(v) - kappa1 / rho, 0.0) / (1.0 + kappa2 / rho)
+        u = v - z
+        psi = z / dd
+        w = _chol_inverse(psi)
+        residual = np.inf if w is None else _optimality_residual(psi, w, s, lam1, lam2)
+        if residual <= tol:
+            return psi, it, True, residual
+        primal = np.linalg.norm(theta - z)
+        dual = rho * np.linalg.norm(z - z_prev)
+        if primal > ADMM_BALANCE * dual:
+            rho *= ADMM_RHO_STEP
+            u /= ADMM_RHO_STEP
+        elif dual > ADMM_BALANCE * primal:
+            rho /= ADMM_RHO_STEP
+            u *= ADMM_RHO_STEP
+    if w is None:
+        psi = theta / dd  # positive definite by construction
+    return psi, max_iter, False, residual
 
 
 def penalized_qml(
@@ -468,7 +329,7 @@ def penalized_qml(
     the problem is unconstrained and requires a nonsingular s (the optimum
     is its plain inverse); any rho > 0 yields a finite positive definite
     maximizer even when s is singular, provided its diagonal is positive.
-    A solver that exhausts its iteration budget returns the best iterate
+    A solve that exhausts its iteration budget returns the last iterate
     with converged=False rather than raising.
     """
     s = check_symmetric(s)
@@ -476,7 +337,6 @@ def penalized_qml(
     t = int(t)
     if t < 2:
         raise InsufficientDataError(f"sample count must be at least 2, got {t}")
-    p = s.shape[0]
     if np.any(np.diag(s) <= 0):
         raise DegenerateMatrixError("sample covariance has a non-positive diagonal entry")
     rho_eff = 2.0 * penalty.rho / t
@@ -488,18 +348,9 @@ def penalized_qml(
         invert_spd(s)
 
     scale = max(1.0, float(np.abs(s).max()))
-    psi0 = np.diag(1.0 / (np.diag(s) + penalty.rho / t))
-    algorithm = opts.algorithm
-    if algorithm == "auto":
-        algorithm = "row_cd" if penalty.kind == "l1" else "proximal"
-    solver = _solve_row_cd if algorithm == "row_cd" else _solve_proximal
-    scaled_opts = SolverOptions(
-        tol=opts.tol * scale,
-        max_iter=opts.max_iter,
-        algorithm=opts.algorithm,
-        record_trace=opts.record_trace,
+    psi, iterations, converged, residual = _solve_admm(
+        s, lam1, lam2, opts.tol * scale, opts.max_iter
     )
-    psi, iterations, converged, residual, trace = solver(s, lam1, lam2, psi0, scaled_opts)
     residual /= scale
 
     scale = t / 2.0
@@ -520,7 +371,6 @@ def penalized_qml(
         iterations=iterations,
         converged=converged,
         residual=residual,
-        objective_trace=scale * np.asarray(trace) if opts.record_trace else None,
     )
 
 

@@ -5,7 +5,8 @@ import pytest
 import yaml
 
 from conftest import panel_csv, synth_returns
-from precis.cli import main
+from precis.cli import load_config, main
+from precis.errors import ConfigError
 
 
 @pytest.fixture
@@ -19,7 +20,7 @@ def workspace(tmp_path, rng):
         "turnover": "drift",
         "out": "out",
         "grid": {"start": 0.0, "stop": 1.0, "step": 0.5},
-        "solver": {"max_iter": 1500},  # bound the wide dataset's nonconverging windows
+        "solver": {"max_iter": 1500},  # bound the solves on the wide, singular windows
         "datasets": [
             {"name": "toy", "path": "toy.csv"},
             {"name": "wide", "path": "wide.csv"},
@@ -154,6 +155,16 @@ def test_flag_overrides_window(workspace, capsys):
 def test_unknown_strategy_label_fails(workspace):
     root, config = workspace
     assert main(["describe", "--config", str(config), "--strategies", "Nope-MVP"]) == 1
+
+
+def test_unknown_solver_key_fails(workspace):
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["solver"]["algorithm"] = "auto"
+    config.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match="algorithm"):
+        load_config(config)
+    assert main(["backtest", "--config", str(config)]) == 1
 
 
 def test_diagnose_prints_per_asset_lines(workspace, capsys):
