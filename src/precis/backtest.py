@@ -16,16 +16,13 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateMatrixError,
     InsufficientDataError,
     PrecisError,
     TuningError,
     UndefinedMetricError,
 )
 from .estimators import (
-    PcaEstimate,
     PenaltySpec,
-    PrecisionEstimate,
     SolverOptions,
     ledoit_wolf,
     pca_precision,
@@ -33,24 +30,13 @@ from .estimators import (
     sample_precision,
     tune_rho,
 )
-from .linalg import condition_number, sample_covariance
+from .linalg import condition_number, sample_covariance, symmetrize
 from .panel import ReturnsPanel
 from .portfolio import WeightVector, equal_weights, mvp_weights, no_short_mvp
 
 logger = logging.getLogger(__name__)
 
 SPARSITY_ZERO_TOL = 1e-8
-
-STRATEGY_KINDS = (
-    "sample",
-    "equal",
-    "ledoit_wolf",
-    "pca",
-    "no_short",
-    "qml_l1",
-    "qml_l2",
-    "qml_elastic",
-)
 
 # Conventional labels for the strategies, matching the published tables.
 PAPER_LABELS = {
@@ -63,6 +49,7 @@ PAPER_LABELS = {
     "Ridge-MVP": "qml_l2",
     "EN-MVP": "qml_elastic",
 }
+STRATEGY_KINDS = tuple(PAPER_LABELS.values())
 
 DEFAULT_RHO_GRID = tuple(round(0.1 * k, 1) for k in range(31))  # 0.0 .. 3.0 step 0.1
 
@@ -107,8 +94,6 @@ class RollingConfig:
     strategies: tuple[StrategySpec, ...]
     window_length: int = 120
     tuning_grid: tuple[float, ...] = DEFAULT_RHO_GRID
-    tune_split: float = 0.75
-    keep_estimates: bool = False
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -122,10 +107,6 @@ class RollingConfig:
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "tuning_grid", tuple(float(g) for g in self.tuning_grid))
 
-    @property
-    def rho_by_strategy(self) -> dict[str, float | None]:
-        return {s.name: s.rho for s in self.strategies if s.penalized}
-
 
 @dataclass(frozen=True)
 class WindowRecord:
@@ -137,7 +118,6 @@ class WindowRecord:
     cond: float = np.nan
     zero_fraction: float = np.nan
     converged: bool | None = None
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -148,13 +128,8 @@ class StrategyRun:
     n_windows: int
     records: list[WindowRecord] = field(default_factory=list)
     failures: list[tuple[int, str]] = field(default_factory=list)
-    estimates: list[PrecisionEstimate] | None = None
     tuned_rho: float | None = None
     tuning_curve: list[tuple[float, float]] | None = None
-
-    @property
-    def weights(self) -> list[WeightVector]:
-        return [rec.weights for rec in self.records]
 
     @property
     def oos_returns(self) -> np.ndarray:
@@ -179,31 +154,26 @@ def _window_weights(
     rho: float | None,
     window_id: int,
     solver: SolverOptions,
-) -> tuple[WeightVector, WindowRecord, PrecisionEstimate | None]:
-    """Weights plus diagnostics for one estimation window. Raises on failure."""
+) -> WindowRecord:
+    """Weights plus diagnostics for one estimation window. Raises on failure.
+
+    The record's oos_return is NaN; the caller fills it in.
+    """
     p = window.shape[1]
     cond = np.nan
     zero_fraction = np.nan
     converged: bool | None = None
-    extra: dict = {}
-    estimate: PrecisionEstimate | None = None
 
     if spec.kind == "equal":
-        wv = replace(equal_weights(p), strategy=spec.name, window_id=window_id)
+        wv = replace(equal_weights(p), strategy=spec.name)
     elif spec.kind == "pca":
-        pca: PcaEstimate = pca_precision(window, threshold=spec.pca_threshold)
-        reduced = mvp_weights(pca.reduced_precision).weights
-        raw = pca.components @ reduced
-        prenorm = float(raw.sum())
-        if abs(prenorm) < 1e-12:
-            raise DegenerateMatrixError("PCA back-projected weights sum to zero")
-        wv = WeightVector(weights=raw / prenorm, strategy=spec.name, window_id=window_id)
-        extra = {"k": pca.k, "explained": pca.explained_fraction, "prenorm_sum": prenorm}
+        # The MVP of psi = V_k diag(1/lambda_k) V_k' puts the budget constraint
+        # on the assets; the k factor portfolios themselves are not unit-sum.
+        pca = pca_precision(window, threshold=spec.pca_threshold)
+        psi = symmetrize((pca.components / pca.eigenvalues) @ pca.components.T)
+        wv = mvp_weights(psi, strategy=spec.name)
     elif spec.kind == "no_short":
-        s = sample_covariance(window)
-        raw_wv, cert = no_short_mvp(s, window_id=window_id)
-        wv = replace(raw_wv, strategy=spec.name)
-        extra = {"kkt_residual": cert.residual}
+        wv = replace(no_short_mvp(sample_covariance(window))[0], strategy=spec.name)
     else:
         s = sample_covariance(window)
         if spec.kind == "sample":
@@ -217,18 +187,37 @@ def _window_weights(
             off = estimate.psi[~np.eye(p, dtype=bool)]
             zero_fraction = float(np.mean(np.abs(off) < SPARSITY_ZERO_TOL))
         cond = condition_number(estimate.psi)
-        wv = mvp_weights(estimate.psi, strategy=spec.name, window_id=window_id)
+        wv = mvp_weights(estimate.psi, strategy=spec.name)
 
-    record = WindowRecord(
+    return WindowRecord(
         window_id=window_id,
         weights=wv,
-        oos_return=np.nan,  # filled by the caller
+        oos_return=np.nan,
         cond=cond,
         zero_fraction=zero_fraction,
         converged=converged,
-        extra=extra,
     )
-    return wv, record, estimate
+
+
+def tune_strategy(
+    block: np.ndarray, spec: StrategySpec, grid, solver: SolverOptions
+) -> tuple[float | None, list[tuple[float, float]] | None, str | None]:
+    """Tune a penalized strategy's rho on one in-sample block.
+
+    Returns (rho, curve, failure). Any estimator-level error becomes
+    (None, curve, "ErrorType: message") instead of propagating; the curve
+    is the partial one a TuningError carries, or None. `precis tune` and
+    `precis backtest` both tune through here, so they agree on what counts
+    as a failed strategy.
+    """
+    try:
+        rho, curve = tune_rho(block, spec.penalty_kind, grid, alpha=spec.alpha, opts=solver)
+    except PrecisError as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+        logger.warning("strategy %s: tuning failed (%s)", spec.name, failure)
+        curve = exc.curve if isinstance(exc, TuningError) else None
+        return None, curve or None, failure
+    return rho, curve, None
 
 
 def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, StrategyRun]:
@@ -238,7 +227,9 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
     weighted return of row t, so no estimate ever sees its evaluation month.
     Penalized strategies with rho=None are tuned once on the first T rows
     (the first estimation window) and the tuned value is held fixed for
-    every window.
+    every window. When tuning fails, every window of that strategy records
+    the tuning failure and the strategy is unavailable; the other
+    strategies still run.
     """
     if not panel.is_sanitized:
         raise InsufficientDataError("panel has missing cells; forward_fill first")
@@ -250,43 +241,27 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
 
     runs: dict[str, StrategyRun] = {}
     for spec in config.strategies:
-        run = StrategyRun(spec=spec, n_windows=n_windows)
-        if config.keep_estimates:
-            run.estimates = []
+        run = runs[spec.name] = StrategyRun(spec=spec, n_windows=n_windows)
         rho = spec.rho
         if spec.penalized and rho is None:
-            try:
-                rho, curve = tune_rho(
-                    panel.returns[:t_len],
-                    spec.penalty_kind,
-                    config.tuning_grid,
-                    split=config.tune_split,
-                    alpha=spec.alpha,
-                    opts=config.solver,
-                )
-            except TuningError as exc:
-                # no usable rho: every window of this strategy fails
-                run.failures.extend((t, f"TuningError: {exc}") for t in range(t_len, n))
-                run.tuning_curve = exc.curve or None
-                logger.warning("strategy %s: tuning failed (%s); marked unavailable", spec.name, exc)
-                runs[spec.name] = run
+            rho, run.tuning_curve, failure = tune_strategy(
+                panel.returns[:t_len], spec, config.tuning_grid, config.solver
+            )
+            if failure is not None:
+                run.failures.extend((t, failure) for t in range(t_len, n))
                 continue
             run.tuned_rho = rho
-            run.tuning_curve = curve
         for t in range(t_len, n):
             window = panel.returns[t - t_len : t]
             try:
-                wv, record, estimate = _window_weights(spec, window, rho, t, config.solver)
+                record = _window_weights(spec, window, rho, t, config.solver)
             except PrecisError as exc:
                 run.failures.append((t, f"{type(exc).__name__}: {exc}"))
                 continue
-            oos = float(wv.weights @ panel.returns[t])
+            oos = float(record.weights.weights @ panel.returns[t])
             run.records.append(replace(record, oos_return=oos))
-            if config.keep_estimates and estimate is not None:
-                run.estimates.append(estimate)
         if not run.available:
             logger.warning("strategy %s failed on every window; marked unavailable", spec.name)
-        runs[spec.name] = run
     return runs
 
 

@@ -15,8 +15,7 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +28,17 @@ from .backtest import (
     StrategySpec,
     build_report,
     run_rolling,
+    tune_strategy,
 )
-from .errors import ConfigError, PrecisError, TuningError
-from .estimators import SolverOptions, tune_rho
+from .errors import ConfigError, InsufficientDataError, PrecisError
+from .estimators import SolverOptions
 from .hedge import ols_hedge
 from .panel import ReturnsPanel, describe, forward_fill, parse_panel
 
-logger = logging.getLogger(__name__)
+TOP_LEVEL_KEYS = ("window_length", "turnover", "out", "grid", "solver", "datasets", "strategies")
+DATASET_KEYS = ("name", "path", "date_range")
+GRID_KEYS = ("start", "stop", "step")
+SOLVER_KEYS = ("tol", "max_iter")
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,6 @@ class RunConfig:
     grid: tuple[float, float, float] = (0.0, 3.0, 0.1)  # start, stop, step
     out_dir: Path = Path("out")
     turnover_convention: str = "drift"
-    seed: int = 0
     solver: SolverOptions = SolverOptions()
 
     def __post_init__(self):
@@ -118,8 +120,18 @@ def _parse_strategy(entry) -> StrategySpec:
     return spec
 
 
+def _reject_unknown_keys(entry: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}; known: {list(known)}")
+
+
 def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunConfig:
-    """Read the YAML run config; apply CLI flag overrides on top."""
+    """Read the YAML run config; apply CLI flag overrides on top.
+
+    Unknown keys at the top level and in the dataset, grid and solver
+    mappings are a ConfigError, so a misspelt or retired key fails loudly.
+    """
     try:
         raw = yaml.safe_load(path.read_text())
     except OSError as exc:
@@ -128,11 +140,13 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping at the top level")
+    _reject_unknown_keys(raw, TOP_LEVEL_KEYS, "top-level")
 
     datasets = []
     for ds in raw.get("datasets", []):
         if not isinstance(ds, dict) or "name" not in ds or "path" not in ds:
             raise ConfigError(f"each dataset needs name and path: {ds!r}")
+        _reject_unknown_keys(ds, DATASET_KEYS, f"dataset {ds['name']!r}")
         rng = ds.get("date_range")
         datasets.append(
             DatasetConfig(
@@ -146,21 +160,21 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
     strategies = [_parse_strategy(s) for s in raw.get("strategies", [])]
 
     grid_raw = raw.get("grid", {})
+    _reject_unknown_keys(grid_raw, GRID_KEYS, "grid")
     grid = (
         float(grid_raw.get("start", 0.0)),
         float(grid_raw.get("stop", 3.0)),
         float(grid_raw.get("step", 0.1)),
     )
-    solver_raw = dict(raw.get("solver", {}))
+    solver_raw = raw.get("solver", {})
+    _reject_unknown_keys(solver_raw, SOLVER_KEYS, "solver")
     try:
         solver = SolverOptions(
-            tol=float(solver_raw.pop("tol", 1e-6)),
-            max_iter=int(solver_raw.pop("max_iter", 10000)),
+            tol=float(solver_raw.get("tol", 1e-6)),
+            max_iter=int(solver_raw.get("max_iter", 10000)),
         )
     except ValueError as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
-    if solver_raw:
-        raise ConfigError(f"unknown solver keys {sorted(solver_raw)}")
     out_raw = Path(raw.get("out", "out"))
     values = dict(
         datasets=tuple(datasets),
@@ -169,7 +183,6 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
         grid=grid,
         out_dir=out_raw if out_raw.is_absolute() else path.parent / out_raw,
         turnover_convention=str(raw.get("turnover", "drift")),
-        seed=int(raw.get("seed", 0)),
         solver=solver,
     )
 
@@ -252,13 +265,12 @@ def _load_panel(ds: DatasetConfig) -> ReturnsPanel:
     return forward_fill(panel)
 
 
-def _pool_map(fn, items):
-    """Ordered map over datasets, parallel when PRECIS_THREADS allows it."""
-    threads = int(os.environ.get("PRECIS_THREADS", "1") or "1")
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _write_curve(out_dir: Path, dataset: str, strategy: str, curve) -> None:
+    write_csv(
+        out_dir / "curves" / f"{dataset}_{strategy}.csv",
+        ["rho", "score"],
+        [[rho, score] for rho, score in curve],
+    )
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +289,7 @@ def cmd_describe(config: RunConfig) -> int:
         except PrecisError as exc:
             _with_dataset_context(ds, exc)
 
-    for ds, panel, stats in _pool_map(one, list(config.datasets)):
+    for ds, panel, stats in [one(ds) for ds in config.datasets]:
         base = config.out_dir / "describe"
         atomic_write(base / f"{ds.name}.json", stats.to_json() + "\n")
         rows = [
@@ -298,40 +310,29 @@ def cmd_tune(config: RunConfig) -> int:
     if not penalized:
         raise ConfigError("no penalized strategies configured; nothing to tune")
     grid = config.grid_values()
-    summary: dict[str, dict[str, float]] = {}
 
     def one(ds: DatasetConfig):
         try:
             panel = _load_panel(ds)
+            if panel.n < config.window_length:  # backtest rejects such a panel too
+                raise InsufficientDataError(
+                    f"panel has {panel.n} rows; the tuning window needs {config.window_length}"
+                )
         except PrecisError as exc:
             _with_dataset_context(ds, exc)
         block = panel.returns[: config.window_length]
-        results = []
-        for spec in penalized:
-            try:
-                rho_star, curve = tune_rho(
-                    block, spec.penalty_kind, grid, alpha=spec.alpha, opts=config.solver
-                )
-            except TuningError as exc:
-                # an estimator-level failure: record it, keep the exit code 0
-                logger.warning("dataset %s strategy %s: %s", ds.name, spec.name, exc)
-                results.append((spec, None, exc.curve))
-                continue
-            results.append((spec, rho_star, curve))
-        return ds, results
+        return ds, [(spec, *tune_strategy(block, spec, grid, config.solver)) for spec in penalized]
 
-    for ds, results in _pool_map(one, list(config.datasets)):
+    summary: dict[str, dict[str, float | None]] = {}
+    for ds, results in [one(ds) for ds in config.datasets]:
         summary[ds.name] = {}
-        for spec, rho_star, curve in results:
+        for spec, rho_star, curve, failure in results:
+            # a failed tuning is report content: a null rho*, exit code 0
             summary[ds.name][spec.name] = rho_star
-            if curve:
-                write_csv(
-                    config.out_dir / "curves" / f"{ds.name}_{spec.name}.csv",
-                    ["rho", "score"],
-                    [[rho, score] for rho, score in curve],
-                )
-            status = rho_star if rho_star is not None else "no converged grid point"
-            print(f"{ds.name} {spec.name}: rho*={status}")
+            if curve is not None:
+                _write_curve(config.out_dir, ds.name, spec.name, curve)
+            status = f"rho*={rho_star}" if failure is None else f"no rho* ({failure})"
+            print(f"{ds.name} {spec.name}: {status}")
     atomic_write(config.out_dir / "tune.json", dump_json(summary))
     return 0
 
@@ -412,14 +413,10 @@ def cmd_backtest(config: RunConfig) -> int:
         return ds, report, curves
 
     reports = []
-    for ds, report, curves in _pool_map(one, list(config.datasets)):
+    for ds, report, curves in [one(ds) for ds in config.datasets]:
         reports.append(report)
         for strategy_name, curve in curves.items():
-            write_csv(
-                config.out_dir / "curves" / f"{ds.name}_{strategy_name}.csv",
-                ["rho", "score"],
-                [[rho, score] for rho, score in curve],
-            )
+            _write_curve(config.out_dir, ds.name, strategy_name, curve)
         for s in report.strategies:
             status = "ok" if s.available else "UNAVAILABLE"
             print(f"{ds.name} {s.name}: {s.n_success}/{s.n_windows} windows ({status})")
@@ -429,7 +426,6 @@ def cmd_backtest(config: RunConfig) -> int:
             "window_length": config.window_length,
             "turnover_convention": config.turnover_convention,
             "grid": list(config.grid),
-            "seed": config.seed,
             "datasets": [ds.name for ds in config.datasets],
         },
         "reports": reports,

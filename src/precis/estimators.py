@@ -109,7 +109,6 @@ class PrecisionEstimate:
 
     psi: np.ndarray
     estimator_kind: str
-    penalty: PenaltySpec | None = None
     objective_value: float = math.nan
     iterations: int = 0
     converged: bool = True
@@ -366,7 +365,6 @@ def penalized_qml(
     return PrecisionEstimate(
         psi=psi,
         estimator_kind=f"qml_{penalty.kind}",
-        penalty=penalty,
         objective_value=objective,
         iterations=iterations,
         converged=converged,

@@ -101,33 +101,25 @@ def ols_hedge(window: np.ndarray, i: int) -> HedgeRegression:
     )
 
 
-def precision_from_hedges(
-    regressions: list[HedgeRegression], ddof_convention: str = "covariance"
-) -> np.ndarray:
+def precision_from_hedges(regressions: list[HedgeRegression]) -> np.ndarray:
     """Assemble a precision matrix from one hedge regression per asset.
 
-    With ddof_convention="covariance" the residual variances are rescaled to
-    RSS / (n - 1), which makes the assembled matrix equal the inverse of the
-    n-1 sample covariance exactly (up to float roundoff). "unbiased" keeps
-    the reported RSS / (n - p) variances instead. The raw assembly is only
-    symmetric in exact arithmetic, so the output is symmetrized and the
-    observed asymmetry is logged rather than hidden.
+    The residual variances are taken as RSS / (n - 1), not the reported
+    RSS / (n - p), which makes the assembled matrix equal the inverse of
+    the n-1 sample covariance exactly (up to float roundoff). The raw
+    assembly is only symmetric in exact arithmetic, so the output is
+    symmetrized and the observed asymmetry is logged rather than hidden.
     """
     p = len(regressions)
     if p < 2:
         raise DegenerateMatrixError("need at least two regressions")
     if sorted(r.target_index for r in regressions) != list(range(p)):
         raise DegenerateMatrixError("need exactly one regression per asset")
-    if ddof_convention not in ("covariance", "unbiased"):
-        raise ValueError(f"unknown ddof convention {ddof_convention!r}")
 
     psi = np.zeros((p, p))
     for reg in regressions:
         i = reg.target_index
-        if ddof_convention == "covariance":
-            v = reg.rss / (reg.nobs - 1)
-        else:
-            v = reg.unhedgeable_variance
+        v = reg.rss / (reg.nobs - 1)
         if v <= 0 or reg.degenerate:
             raise DegenerateMatrixError(
                 f"asset {i} is perfectly hedged (residual variance {v:.3e}); "
@@ -148,12 +140,6 @@ def soft_threshold(b, gamma):
     if np.any(np.asarray(gamma) < 0):
         raise ValueError("gamma must be nonnegative")
     return np.sign(b) * np.maximum(np.abs(b) - gamma, 0.0)
-
-
-def lasso_objective(y: np.ndarray, x: np.ndarray, betas: np.ndarray, gamma: float) -> float:
-    """0.5 * ||y - x @ betas||^2 + gamma * ||betas||_1 on the given design."""
-    resid = y - x @ betas
-    return 0.5 * float(resid @ resid) + gamma * float(np.abs(betas).sum())
 
 
 def lasso_hedge(

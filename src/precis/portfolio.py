@@ -18,11 +18,10 @@ WEIGHT_SUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Unit-sum portfolio weights tagged with their strategy and window."""
+    """Unit-sum portfolio weights tagged with their strategy."""
 
     weights: np.ndarray
     strategy: str
-    window_id: int = -1
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -33,10 +32,6 @@ class WeightVector:
             raise DegenerateMatrixError(
                 f"weights sum to {w.sum():.12f}, not 1, for strategy {self.strategy!r}"
             )
-
-    @property
-    def p(self) -> int:
-        return self.weights.size
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class KktCertificate:
     iterations: int
 
 
-def mvp_weights(psi: np.ndarray, strategy: str = "mvp", window_id: int = -1) -> WeightVector:
+def mvp_weights(psi: np.ndarray, strategy: str = "mvp") -> WeightVector:
     """Global minimum-variance weights psi e / (e' psi e)."""
     psi = check_symmetric(psi)
     row_sums = psi.sum(axis=1)
@@ -60,48 +55,17 @@ def mvp_weights(psi: np.ndarray, strategy: str = "mvp", window_id: int = -1) -> 
     if abs(denom) < 1e-12 * max(float(np.linalg.norm(psi)), 1e-300):
         raise DegenerateMatrixError("e' psi e is numerically zero; MVP undefined")
     w = row_sums / denom
-    return WeightVector(weights=w / w.sum(), strategy=strategy, window_id=window_id)
+    return WeightVector(weights=w / w.sum(), strategy=strategy)
 
 
-def mean_variance_weights(
-    psi: np.ndarray, mu: np.ndarray, r: float, strategy: str = "mean_variance", window_id: int = -1
-) -> WeightVector:
-    """Closed-form mean-variance weights hitting unit sum and target return r.
-
-    With a = e' psi e, b = e' psi mu, c = mu' psi mu the solution is
-    ((c - b r) psi e + (a r - b) psi mu) / (a c - b^2); mu parallel to the
-    ones vector makes the system degenerate.
-    """
-    psi = check_symmetric(psi)
-    mu = np.asarray(mu, dtype=float)
-    ones = np.ones(psi.shape[0])
-    psi_e = psi @ ones
-    psi_mu = psi @ mu
-    a = float(ones @ psi_e)
-    b = float(ones @ psi_mu)
-    c = float(mu @ psi_mu)
-    det = a * c - b * b
-    if abs(det) <= 1e-12 * (abs(a) * abs(c) + b * b + 1e-300):
-        raise DegenerateMatrixError("a c - b^2 is numerically zero (mu parallel to e)")
-    w = ((c - b * r) * psi_e + (a * r - b) * psi_mu) / det
-    if abs(float(w.sum()) - 1.0) > 1e-8 or abs(float(w @ mu) - r) > 1e-8 * max(1.0, abs(r)):
-        raise DegenerateMatrixError("mean-variance system too ill-conditioned to hit constraints")
-    return WeightVector(weights=w / w.sum(), strategy=strategy, window_id=window_id)
-
-
-def equal_weights(p: int, window_id: int = -1) -> WeightVector:
+def equal_weights(p: int) -> WeightVector:
     """1/p in every asset."""
     if p < 1:
         raise DegenerateMatrixError("cannot build equal weights over zero assets")
-    return WeightVector(weights=np.full(p, 1.0 / p), strategy="equal", window_id=window_id)
+    return WeightVector(weights=np.full(p, 1.0 / p), strategy="equal")
 
 
-def no_short_mvp(
-    s: np.ndarray,
-    max_iter: int = 1000,
-    allow_singular: bool = False,
-    window_id: int = -1,
-) -> tuple[WeightVector, KktCertificate]:
+def no_short_mvp(s: np.ndarray, max_iter: int = 1000) -> tuple[WeightVector, KktCertificate]:
     """Minimize w' S w over the simplex (unit sum, nonnegative weights).
 
     Primal active set: start from equal weights, repeatedly solve the
@@ -110,18 +74,14 @@ def no_short_mvp(
     release the lowest-index pinned asset whose multiplier is negative.
     Pivoting is deterministic (lowest index) so runs are reproducible.
 
-    By default a singular S is rejected up front, matching the convention
-    of reporting no portfolio for windows with more assets than
-    observations. allow_singular=True solves a hair-regularized problem
-    instead (S plus a relative 1e-10 ridge), whose certificate refers to
-    that regularized objective.
+    A singular S raises SingularMatrixError up front, matching the
+    convention of reporting no portfolio for windows with more assets than
+    observations. Returns the weights and their KKT certificate.
     """
     s = check_symmetric(s)
     p = s.shape[0]
-    if not allow_singular and not np.isfinite(condition_number(s)):
+    if not np.isfinite(condition_number(s)):
         raise SingularMatrixError("covariance is singular; no-short MVP not constructed")
-    if allow_singular:
-        s = s + (1e-10 * (np.trace(s) / p + 1.0)) * np.eye(p)
 
     w = np.full(p, 1.0 / p)
     free = np.ones(p, dtype=bool)
@@ -160,7 +120,7 @@ def no_short_mvp(
                 cert = KktCertificate(
                     multiplier=lam, residual=max(res_free, res_pinned), iterations=iterations
                 )
-                return WeightVector(weights=w, strategy="no_short", window_id=window_id), cert
+                return WeightVector(weights=w, strategy="no_short"), cert
             free[int(violated.min())] = True
         else:
             direction = np.zeros(p)
@@ -176,5 +136,5 @@ def no_short_mvp(
             free[block] = False
     raise NonconvergenceError(
         f"active-set QP did not converge in {max_iter} iterations",
-        best=WeightVector(weights=w / w.sum(), strategy="no_short", window_id=window_id),
+        best=WeightVector(weights=w / w.sum(), strategy="no_short"),
     )

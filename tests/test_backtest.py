@@ -33,7 +33,7 @@ def fake_run(weight_rows, oos=None, conds=None, zeros=None, start_id=0, gaps=())
         records.append(
             WindowRecord(
                 window_id=wid,
-                weights=WeightVector(np.asarray(row, dtype=float), "X", wid),
+                weights=WeightVector(np.asarray(row, dtype=float), "X"),
                 oos_return=0.0 if oos is None else float(oos[k]),
                 cond=np.nan if conds is None else conds[k],
                 zero_fraction=np.nan if zeros is None else zeros[k],
@@ -148,6 +148,23 @@ class TestRunRolling:
             w_base = next(r for r in baseline[name].records if r.window_id == target)
             w_pert = next(r for r in perturbed[name].records if r.window_id == target)
             assert np.array_equal(w_base.weights.weights, w_pert.weights.weights)
+
+    def test_pca_with_every_component_matches_sample_mvp(self, rng):
+        # with k = p the PCA precision is the inverse sample covariance, so
+        # the budget constraint on the assets gives exactly the S-MVP weights
+        panel = make_panel(synth_returns(40, 5, rng))
+        config = RollingConfig(
+            strategies=(
+                StrategySpec("S-MVP", "sample"),
+                StrategySpec("PCA-MVP", "pca", pca_threshold=1.0),
+            ),
+            window_length=30,
+        )
+        runs = run_rolling(panel, config)
+        assert runs["PCA-MVP"].n_success == runs["S-MVP"].n_success == 10
+        for pca, sample in zip(runs["PCA-MVP"].records, runs["S-MVP"].records):
+            gap = np.abs(pca.weights.weights - sample.weights.weights).max()
+            assert gap <= 1e-12
 
     def test_determinism_bitwise(self, rng):
         returns = synth_returns(38, 4, rng)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import yaml
 from conftest import panel_csv, synth_returns
 from precis.cli import load_config, main
 from precis.errors import ConfigError
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -188,3 +191,101 @@ def test_diagnose_reports_rank_deficiency_without_failing(tmp_path, rng, capsys)
     assert main(["diagnose", "--config", str(config)]) == 0
     out = capsys.readouterr().out
     assert "short: MulticollinearityError" in out
+
+
+def test_tuning_failure_is_content_for_tune_and_backtest(workspace):
+    # a 20-month window is too short for the 24-row tuning block: both
+    # commands record the failure for the tuned strategy and carry on
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["window_length"] = 20
+    raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
+    raw["strategies"] = ["EW-MVP", "S-MVP", {"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"}]
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["backtest", "--config", str(config)]) == 0
+    report = json.loads((root / "out" / "report.json").read_text())["reports"][0]
+    by_name = {s["name"]: s for s in report["strategies"]}
+    assert by_name["EW-MVP"]["available"] and by_name["S-MVP"]["available"]
+    tuned = by_name["Glasso-MVP"]
+    assert not tuned["available"]
+    assert tuned["n_failed"] == tuned["n_windows"] == 20
+    assert all(msg.startswith("InsufficientDataError") for _, msg in tuned["failures"])
+    assert main(["tune", "--config", str(config)]) == 0
+    summary = json.loads((root / "out" / "tune.json").read_text())
+    assert summary == {"toy": {"Glasso-MVP": None}}
+
+
+def test_panel_shorter_than_window_fails_tune_like_backtest(workspace):
+    root, config = workspace
+    for command in ("tune", "backtest"):
+        assert main([command, "--config", str(config), "--window", "41"]) == 1
+    assert not (root / "out").exists()
+
+
+def test_tune_and_backtest_write_identical_curves(workspace):
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
+    raw["strategies"] = [
+        "EW-MVP",
+        {"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"},
+        {"name": "Ridge-MVP", "kind": "qml_l2", "rho": "tune"},
+    ]
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["tune", "--config", str(config), "--out", str(root / "tuned")]) == 0
+    assert main(["backtest", "--config", str(config), "--out", str(root / "tested")]) == 0
+    names = ["toy_Glasso-MVP.csv", "toy_Ridge-MVP.csv"]
+    for out in ("tuned", "tested"):
+        assert sorted(p.name for p in (root / out / "curves").iterdir()) == names
+    for name in names:
+        tuned = (root / "tuned" / "curves" / name).read_bytes()
+        assert tuned == (root / "tested" / "curves" / name).read_bytes()
+
+
+def test_unshrunk_ledoit_wolf_reproduces_sample_mvp(workspace):
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
+    raw["strategies"] = ["S-MVP", {"name": "LW-MVP", "lw_alpha": 0.0}]
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["backtest", "--config", str(config)]) == 0
+    report = json.loads((root / "out" / "report.json").read_text())["reports"][0]
+    sample, lw = report["strategies"]
+    assert sample["oos_variance"] is not None
+    assert lw["oos_variance"] == sample["oos_variance"]
+
+
+def test_pca_threshold_parses_into_spec(workspace):
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["strategies"] = [{"name": "PCA-MVP", "pca_threshold": 0.9}]
+    config.write_text(yaml.safe_dump(raw))
+    (spec,) = load_config(config).strategies
+    assert spec.kind == "pca" and spec.pca_threshold == 0.9
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        (lambda raw: raw.update(seed=0), "seed"),
+        (lambda raw: raw["datasets"][0].update(range=["1990-01", "1991-12"]), "range"),
+    ],
+    ids=["top-level", "dataset"],
+)
+def test_unknown_config_key_fails(workspace, change, key):
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    change(raw)
+    config.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=key):
+        load_config(config)
+    assert main(["backtest", "--config", str(config)]) == 1
+
+
+def test_committed_configs_use_only_known_keys():
+    load_config(REPO / "demo" / "demo.yaml")
+    try:
+        load_config(REPO / "configs" / "paper.yaml")
+    except ConfigError as exc:
+        # the paper's return files are not shipped; nothing else may fail
+        assert "no such file" in str(exc), exc

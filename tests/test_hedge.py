@@ -102,14 +102,6 @@ class TestPrecisionFromHedges:
             rel = np.linalg.norm(assembled - direct) / np.linalg.norm(direct)
             assert rel <= 1e-6
 
-    def test_unbiased_convention_differs(self, rng):
-        window = synth_returns(30, 4, rng)
-        regs = [ols_hedge(window, i) for i in range(4)]
-        matched = precision_from_hedges(regs, ddof_convention="covariance")
-        unbiased = precision_from_hedges(regs, ddof_convention="unbiased")
-        # same matrix up to a uniform (n-1)/(n-p) rescaling of every row
-        assert np.allclose(unbiased * (30 - 1) / (30 - 4), matched, atol=1e-10)
-
     def test_population_two_by_two(self):
         gen = np.random.default_rng(42)
         sigma = np.array([[2.0, 1.0], [1.0, 2.0]])

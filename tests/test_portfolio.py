@@ -7,7 +7,6 @@ from conftest import rand_psd_singular, rand_spd
 from precis import (
     equal_weights,
     invert_spd,
-    mean_variance_weights,
     mvp_weights,
     no_short_mvp,
 )
@@ -46,39 +45,6 @@ class TestMvpWeights:
         assert np.allclose(
             mvp_weights(psi).weights, mvp_weights(scale * psi).weights, atol=1e-12
         )
-
-
-class TestMeanVarianceWeights:
-    def test_two_asset_hand_solution(self):
-        wv = mean_variance_weights(np.eye(2), np.array([1.0, 2.0]), 1.5)
-        assert np.allclose(wv.weights, [0.5, 0.5])
-
-    def test_constraints_always_hit(self, rng):
-        for _ in range(10):
-            psi = rand_spd(val := int(3 + 4 * rng.random()), rng)
-            mu = rng.normal(size=val)
-            r = float(rng.normal())
-            wv = mean_variance_weights(psi, mu, r)
-            assert abs(wv.weights.sum() - 1.0) <= 1e-8
-            assert abs(wv.weights @ mu - r) <= 1e-8 * max(1.0, abs(r))
-
-    def test_mu_parallel_to_ones_rejected(self, rng):
-        psi = rand_spd(3, rng)
-        with pytest.raises(DegenerateMatrixError):
-            mean_variance_weights(psi, np.full(3, 2.5), 2.5)
-
-    def test_reduces_to_mvp_at_its_own_return(self, rng):
-        # the exactly-constant mu is the stated degenerate case; near it, ask
-        # for the return the MVP itself delivers and the closed form must
-        # hand the MVP back (the MVP is feasible and minimizes over a
-        # superset of the feasible set)
-        psi = rand_spd(4, rng)
-        direction = rng.normal(size=4)
-        target = mvp_weights(psi).weights
-        for eps in (1e-1, 1e-2, 1e-3):
-            mu = 2.0 + eps * direction
-            wv = mean_variance_weights(psi, mu, float(mu @ target))
-            assert np.abs(wv.weights - target).max() <= 1e-7
 
 
 class TestEqualWeights:
@@ -150,15 +116,6 @@ class TestNoShortMvp:
         s = rand_psd_singular(6, 3, rng)
         with pytest.raises(SingularMatrixError):
             no_short_mvp(s)
-
-    def test_allow_singular_still_solves(self, rng):
-        s = rand_psd_singular(6, 3, rng)  # PSD, rank 3
-        wv, cert = no_short_mvp(s, allow_singular=True)
-        assert abs(wv.weights.sum() - 1.0) <= 1e-10
-        assert np.all(wv.weights >= 0.0)
-        # feasible and no worse than the naive fallback
-        equal = np.full(6, 1.0 / 6)
-        assert wv.weights @ s @ wv.weights <= equal @ s @ equal + 1e-9
 
     def test_exhausted_budget_raises_with_best_iterate(self, rng):
         s = rand_spd(5, rng)
