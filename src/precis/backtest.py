@@ -30,7 +30,7 @@ from .estimators import (
     sample_precision,
     tune_rho,
 )
-from .linalg import condition_number, sample_covariance, symmetrize
+from .linalg import EigenDecomposition, condition_number, sample_covariance, sym_eigen, symmetrize
 from .panel import ReturnsPanel
 from .portfolio import WeightVector, equal_weights, mvp_weights, no_short_mvp
 
@@ -149,16 +149,20 @@ class StrategyRun:
 
 
 def _window_weights(
-    spec: StrategySpec,
+    run: StrategyRun,
     window: np.ndarray,
+    s: np.ndarray,
+    decomp: EigenDecomposition,
     rho: float | None,
     window_id: int,
     solver: SolverOptions,
 ) -> WindowRecord:
     """Weights plus diagnostics for one estimation window. Raises on failure.
 
-    The record's oos_return is NaN; the caller fills it in.
+    s is the window's sample covariance and decomp its spectrum. The
+    record's oos_return is NaN; the caller fills it in.
     """
+    spec = run.spec
     p = window.shape[1]
     cond = np.nan
     zero_fraction = np.nan
@@ -169,24 +173,25 @@ def _window_weights(
     elif spec.kind == "pca":
         # The MVP of psi = V_k diag(1/lambda_k) V_k' puts the budget constraint
         # on the assets; the k factor portfolios themselves are not unit-sum.
-        pca = pca_precision(window, threshold=spec.pca_threshold)
+        pca = pca_precision(decomp, threshold=spec.pca_threshold)
         psi = symmetrize((pca.components / pca.eigenvalues) @ pca.components.T)
         wv = mvp_weights(psi, strategy=spec.name)
-    elif spec.kind == "no_short":
-        wv = replace(no_short_mvp(sample_covariance(window))[0], strategy=spec.name)
+    elif spec.kind == "no_short":  # warm start from the previous window, cold after a failure
+        last = run.records[-1] if run.records else None
+        start = last.weights.weights if last and last.window_id == window_id - 1 else None
+        wv = replace(no_short_mvp(s, start=start, spectrum=decomp)[0], strategy=spec.name)
     else:
-        s = sample_covariance(window)
         if spec.kind == "sample":
-            estimate = sample_precision(s)
+            estimate = sample_precision(decomp)
         elif spec.kind == "ledoit_wolf":
-            estimate = ledoit_wolf(s, alpha=spec.lw_alpha, window=window)
+            estimate = ledoit_wolf(decomp, alpha=spec.lw_alpha, window=window)
         else:
             penalty = PenaltySpec(kind=spec.penalty_kind, rho=float(rho), alpha=spec.alpha)
             estimate = penalized_qml(s, window.shape[0], penalty, solver)
             converged = estimate.converged
             off = estimate.psi[~np.eye(p, dtype=bool)]
             zero_fraction = float(np.mean(np.abs(off) < SPARSITY_ZERO_TOL))
-        cond = condition_number(estimate.psi)
+        cond = condition_number(estimate.psi if estimate.spectrum is None else estimate.spectrum)
         wv = mvp_weights(estimate.psi, strategy=spec.name)
 
     return WindowRecord(
@@ -229,7 +234,10 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
     (the first estimation window) and the tuned value is held fixed for
     every window. When tuning fails, every window of that strategy records
     the tuning failure and the strategy is unavailable; the other
-    strategies still run.
+    strategies still run. Then one pass over the windows fits every
+    strategy on each, sharing one sample covariance and one spectrum per
+    window. The no-short QP starts from the previous window's weights, or
+    cold after a failed window; its optimum does not depend on the start.
     """
     if not panel.is_sanitized:
         raise InsufficientDataError("panel has missing cells; forward_fill first")
@@ -240,6 +248,7 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
     n_windows = n - t_len
 
     runs: dict[str, StrategyRun] = {}
+    live: list[tuple[StrategyRun, float | None]] = []  # the runs to fit, with their rho
     for spec in config.strategies:
         run = runs[spec.name] = StrategyRun(spec=spec, n_windows=n_windows)
         rho = spec.rho
@@ -251,17 +260,22 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
                 run.failures.extend((t, failure) for t in range(t_len, n))
                 continue
             run.tuned_rho = rho
-        for t in range(t_len, n):
-            window = panel.returns[t - t_len : t]
+        live.append((run, rho))
+    for t in range(t_len, n) if live else ():
+        window = panel.returns[t - t_len : t]
+        s = sample_covariance(window)
+        decomp = sym_eigen(s)
+        for run, rho in live:
             try:
-                record = _window_weights(spec, window, rho, t, config.solver)
+                record = _window_weights(run, window, s, decomp, rho, t, config.solver)
             except PrecisError as exc:
                 run.failures.append((t, f"{type(exc).__name__}: {exc}"))
                 continue
             oos = float(record.weights.weights @ panel.returns[t])
             run.records.append(replace(record, oos_return=oos))
+    for run, _ in live:
         if not run.available:
-            logger.warning("strategy %s failed on every window; marked unavailable", spec.name)
+            logger.warning("strategy %s failed on every window; marked unavailable", run.spec.name)
     return runs
 
 

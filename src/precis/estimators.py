@@ -35,6 +35,7 @@ from .errors import (
     TuningError,
 )
 from .linalg import (
+    EigenDecomposition,
     check_symmetric,
     invert_spd,
     sample_covariance,
@@ -114,6 +115,7 @@ class PrecisionEstimate:
     converged: bool = True
     residual: float = 0.0
     lw_intensity: float | None = None
+    spectrum: EigenDecomposition | None = None  # of the covariance estimate psi inverts
 
 
 @dataclass(frozen=True)
@@ -132,10 +134,10 @@ class PcaEstimate:
     eigenvalues: np.ndarray  # the k retained eigenvalues, descending
 
 
-def sample_precision(s: np.ndarray) -> PrecisionEstimate:
-    """Directly invert the sample covariance; fails on singular windows."""
-    s = check_symmetric(s)
-    return PrecisionEstimate(psi=invert_spd(s), estimator_kind="sample")
+def sample_precision(s: np.ndarray | EigenDecomposition) -> PrecisionEstimate:
+    """Directly invert the sample covariance (or its spectrum); fails on singular windows."""
+    decomp = s if isinstance(s, EigenDecomposition) else sym_eigen(s)
+    return PrecisionEstimate(psi=invert_spd(decomp), estimator_kind="sample", spectrum=decomp)
 
 
 def ledoit_wolf_intensity(window: np.ndarray) -> float:
@@ -144,7 +146,9 @@ def ledoit_wolf_intensity(window: np.ndarray) -> float:
     Ratio of the averaged squared deviation of per-observation outer
     products around the sample covariance to the squared distance between
     the sample covariance and the target, clipped to [0, 1]. Uses the 1/n
-    covariance convention internally, as in the original derivation.
+    covariance convention internally, as in the original derivation. The
+    deviations sum in closed form: sum_t ||x_t x_t' - S_n||_F^2 =
+    sum_t ||x_t||^4 - n ||S_n||_F^2, since sum_t x_t' S_n x_t = n ||S_n||_F^2.
     """
     x = np.asarray(window, dtype=float)
     n, p = x.shape
@@ -156,25 +160,22 @@ def ledoit_wolf_intensity(window: np.ndarray) -> float:
     d2 = float(np.sum((s_n - mu * np.eye(p)) ** 2))
     if d2 <= 0:
         return 0.0
-    b2 = 0.0
-    for t in range(n):
-        outer = np.outer(xc[t], xc[t])
-        b2 += float(np.sum((outer - s_n) ** 2))
-    b2 /= n * n
-    return min(b2 / d2, 1.0)
+    norms2 = np.einsum("ti,ti->t", xc, xc)
+    b2 = float(norms2 @ norms2) / (n * n) - float(np.sum(s_n * s_n)) / n
+    return min(max(b2, 0.0) / d2, 1.0)
 
 
 def ledoit_wolf(
-    s: np.ndarray, alpha: float | None = None, *, window: np.ndarray | None = None
+    s: np.ndarray | EigenDecomposition, alpha: float | None = None, *, window: np.ndarray | None = None
 ) -> PrecisionEstimate:
     """Precision from the shrunk covariance (1 - alpha) S + alpha sigma2bar I.
 
-    sigma2bar is the mean of the diagonal of S. When alpha is omitted it is
-    set from the analytic optimal-intensity estimator, which needs the raw
-    return window; pass it via the window keyword.
+    s is S or its EigenDecomposition, whose eigenvectors the shrunk matrix
+    keeps; sigma2bar, the mean of diag S, is its mean eigenvalue. An omitted
+    alpha comes from the analytic optimal-intensity estimator on the raw window.
     """
-    s = check_symmetric(s)
-    sigma2bar = float(np.mean(np.diag(s)))
+    decomp = s if isinstance(s, EigenDecomposition) else sym_eigen(s)
+    sigma2bar = float(np.mean(decomp.eigenvalues))
     if sigma2bar <= 0:
         raise DegenerateMatrixError("average variance is zero; nothing to shrink toward")
     if alpha is None:
@@ -183,21 +184,23 @@ def ledoit_wolf(
         alpha = ledoit_wolf_intensity(window)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"shrinkage intensity must lie in [0, 1], got {alpha}")
-    shrunk = (1.0 - alpha) * s + alpha * sigma2bar * np.eye(s.shape[0])
+    lam = (1.0 - alpha) * decomp.eigenvalues + alpha * sigma2bar
+    shrunk = EigenDecomposition(eigenvalues=lam, eigenvectors=decomp.eigenvectors)
     return PrecisionEstimate(
-        psi=invert_spd(shrunk), estimator_kind="ledoit_wolf", lw_intensity=float(alpha)
+        invert_spd(shrunk), "ledoit_wolf", lw_intensity=float(alpha), spectrum=shrunk
     )
 
 
-def pca_precision(window: np.ndarray, threshold: float = 0.99) -> PcaEstimate:
+def pca_precision(window: np.ndarray | EigenDecomposition, threshold: float = 0.99) -> PcaEstimate:
     """Keep the fewest leading principal components explaining >= threshold.
 
     Eigenvalues are taken in descending order from the window's sample
-    covariance; the reduced precision is the diagonal of their inverses.
+    covariance (or its EigenDecomposition, passed in the window's place);
+    the reduced precision is the diagonal of their inverses.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    decomp = sym_eigen(sample_covariance(window))
+    decomp = window if isinstance(window, EigenDecomposition) else sym_eigen(sample_covariance(window))
     lam = decomp.eigenvalues[::-1]
     vecs = decomp.eigenvectors[:, ::-1]
     positive = np.maximum(lam, 0.0)
@@ -325,9 +328,10 @@ def penalized_qml(
     """Maximize the penalized Gaussian quasi-likelihood over PD precisions.
 
     s is the sample covariance of a window of t observations. With rho = 0
-    the problem is unconstrained and requires a nonsingular s (the optimum
-    is its plain inverse); any rho > 0 yields a finite positive definite
-    maximizer even when s is singular, provided its diagonal is positive.
+    the problem is unconstrained and requires a nonsingular s; its optimum,
+    the plain inverse, is returned with iterations=0 and no ADMM run. Any
+    rho > 0 yields a finite positive definite maximizer even when s is
+    singular, provided its diagonal is positive.
     A solve that exhausts its iteration budget returns the last iterate
     with converged=False rather than raising.
     """
@@ -342,14 +346,16 @@ def penalized_qml(
     l1_share, l2_share = penalty.weights
     lam1 = rho_eff * l1_share
     lam2 = rho_eff * l2_share
-    if penalty.rho == 0.0:
-        # force the singularity check the unpenalized problem requires
-        invert_spd(s)
-
     scale = max(1.0, float(np.abs(s).max()))
-    psi, iterations, converged, residual = _solve_admm(
-        s, lam1, lam2, opts.tol * scale, opts.max_iter
-    )
+    if penalty.rho > 0.0:
+        psi, iterations, converged, residual = _solve_admm(
+            s, lam1, lam2, opts.tol * scale, opts.max_iter
+        )
+    else:  # the unpenalized maximizer is the plain inverse; a singular s raises here
+        psi, iterations = invert_spd(s), 0
+        w = _chol_inverse(psi)
+        residual = np.inf if w is None else _optimality_residual(psi, w, s, 0.0, 0.0)
+        converged = residual <= opts.tol * scale
     residual /= scale
 
     scale = t / 2.0

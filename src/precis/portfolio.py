@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMatrixError, NonconvergenceError, SingularMatrixError
-from .linalg import check_symmetric, condition_number
+from .linalg import EigenDecomposition, check_symmetric, condition_number
 
 WEIGHT_SUM_TOL = 1e-10
 
@@ -65,26 +65,32 @@ def equal_weights(p: int) -> WeightVector:
     return WeightVector(weights=np.full(p, 1.0 / p), strategy="equal")
 
 
-def no_short_mvp(s: np.ndarray, max_iter: int = 1000) -> tuple[WeightVector, KktCertificate]:
+def no_short_mvp(
+    s: np.ndarray, max_iter: int = 1000, *, start: np.ndarray | None = None,
+    spectrum: EigenDecomposition | None = None,
+) -> tuple[WeightVector, KktCertificate]:
     """Minimize w' S w over the simplex (unit sum, nonnegative weights).
 
-    Primal active set: start from equal weights, repeatedly solve the
-    equality-constrained subproblem on the free assets (that restricted
-    MVP), take a ratio-test step when the candidate leaves the simplex, and
-    release the lowest-index pinned asset whose multiplier is negative.
-    Pivoting is deterministic (lowest index) so runs are reproducible.
+    Primal active set: start from equal weights (or from start, nonnegative
+    and unit-sum, its support free), repeatedly solve the equality-
+    constrained subproblem on the free assets (that restricted MVP), take a
+    ratio-test step when the candidate leaves the simplex, and release the
+    lowest-index pinned asset whose multiplier is negative. Pivoting is
+    deterministic (lowest index) so runs are reproducible. The optimum is
+    unique (S is positive definite): start changes only the path to it.
 
-    A singular S raises SingularMatrixError up front, matching the
-    convention of reporting no portfolio for windows with more assets than
-    observations. Returns the weights and their KKT certificate.
+    A singular S (judged from spectrum, its EigenDecomposition, when given)
+    raises SingularMatrixError up front, matching the convention of
+    reporting no portfolio for windows with more assets than observations.
+    Returns the weights and their KKT certificate.
     """
     s = check_symmetric(s)
     p = s.shape[0]
-    if not np.isfinite(condition_number(s)):
+    if not np.isfinite(condition_number(s if spectrum is None else spectrum)):
         raise SingularMatrixError("covariance is singular; no-short MVP not constructed")
 
-    w = np.full(p, 1.0 / p)
-    free = np.ones(p, dtype=bool)
+    w = np.full(p, 1.0 / p) if start is None else np.array(start, dtype=float)
+    free = w > 0.0
     ones_cache = np.ones(p)
 
     def eqp(idx: np.ndarray) -> np.ndarray:

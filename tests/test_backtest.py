@@ -9,17 +9,32 @@ from precis import (
     StrategySpec,
     WeightVector,
     build_report,
+    condition_number,
     condition_stats,
+    equal_weights,
     invert_spd,
+    ledoit_wolf_intensity,
+    mvp_weights,
+    no_short_mvp,
     oos_sharpe,
     oos_variance,
+    pca_precision,
     run_rolling,
+    sample_covariance,
+    sample_precision,
     sparsity,
     turnover,
     weight_distribution,
 )
+import precis
+from precis import backtest, estimators, linalg, portfolio
 from precis.backtest import StrategyRun, WindowRecord
-from precis.errors import ConfigError, InsufficientDataError, UndefinedMetricError
+from precis.errors import (
+    ConfigError,
+    InsufficientDataError,
+    PrecisError,
+    UndefinedMetricError,
+)
 
 
 def fake_run(weight_rows, oos=None, conds=None, zeros=None, start_id=0, gaps=()):
@@ -179,6 +194,99 @@ class TestRunRolling:
             for a, b in zip(first[name].records, second[name].records):
                 assert np.array_equal(a.weights.weights, b.weights.weights)
                 assert a.oos_return == b.oos_return
+
+
+NON_PENALIZED = (
+    StrategySpec("S-MVP", "sample"),
+    StrategySpec("EW-MVP", "equal"),
+    StrategySpec("LW-MVP", "ledoit_wolf"),
+    StrategySpec("PCA-MVP", "pca"),
+    StrategySpec("JM-MVP", "no_short"),
+)
+
+
+def _rebuilt_record(spec, rows):
+    """One strategy on one window from the public estimators and a fresh S.
+
+    Returns (weights, cond) or the failure message the backtest should record.
+    """
+    s = sample_covariance(rows)
+    try:
+        if spec.kind == "equal":
+            return equal_weights(rows.shape[1]).weights, np.nan
+        if spec.kind == "no_short":
+            return no_short_mvp(s)[0].weights, np.nan
+        if spec.kind == "pca":
+            est = pca_precision(rows, threshold=spec.pca_threshold)
+            psi = (est.components / est.eigenvalues) @ est.components.T
+            return mvp_weights(0.5 * (psi + psi.T)).weights, np.nan
+        if spec.kind == "sample":
+            psi = sample_precision(s).psi
+        else:  # Ledoit-Wolf, shrunk as a dense matrix
+            alpha = ledoit_wolf_intensity(rows)
+            psi = invert_spd((1 - alpha) * s + alpha * np.diag(s).mean() * np.eye(s.shape[0]))
+        return mvp_weights(psi).weights, condition_number(psi)
+    except PrecisError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestSharedWindowWork:
+    """One covariance and one spectrum per window, shared by every strategy."""
+
+    def test_one_covariance_and_one_spectrum_per_window(self, rng, monkeypatch):
+        calls = {"sample_covariance": 0, "sym_eigen": 0}
+        for name in calls:
+            original = getattr(linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (precis, linalg, estimators, portfolio, backtest):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        panel = make_panel(synth_returns(40, 6, rng))
+        runs = run_rolling(panel, RollingConfig(strategies=NON_PENALIZED, window_length=30))
+        assert all(run.n_success == 10 for run in runs.values())
+        assert calls == {"sample_covariance": 10, "sym_eigen": 10}
+
+    def test_matches_strategies_rebuilt_one_at_a_time(self, rng):
+        returns = synth_returns(45, 8, rng)
+        t_len = 30
+        runs = run_rolling(
+            make_panel(returns), RollingConfig(strategies=NON_PENALIZED, window_length=t_len)
+        )
+        for spec in NON_PENALIZED:
+            run = runs[spec.name]
+            assert run.window_ids == list(range(t_len, 45)) and not run.failures
+            for rec in run.records:
+                t = rec.window_id
+                weights, cond = _rebuilt_record(spec, returns[t - t_len : t])
+                oos = float(weights @ returns[t])
+                assert np.abs(rec.weights.weights - weights).max() <= 1e-10 * np.abs(weights).max()
+                assert rec.oos_return == pytest.approx(oos, rel=1e-10, abs=0.0)
+                if np.isnan(cond):
+                    assert np.isnan(rec.cond)
+                else:
+                    assert rec.cond == pytest.approx(cond, rel=1e-10, abs=0.0)
+
+    def test_wide_windows_fail_as_when_rebuilt(self, rng):
+        # p = 12 > T = 8: S is singular on every window
+        returns = synth_returns(14, 12, rng)
+        runs = run_rolling(
+            make_panel(returns), RollingConfig(strategies=NON_PENALIZED, window_length=8)
+        )
+        for spec in NON_PENALIZED:
+            expected = [
+                (t, outcome)
+                for t in range(8, 14)
+                if isinstance(outcome := _rebuilt_record(spec, returns[t - 8 : t]), str)
+            ]
+            assert runs[spec.name].failures == expected
+        for name in ("S-MVP", "JM-MVP"):
+            failures = runs[name].failures
+            assert len(failures) == 6
+            assert all(message.startswith("SingularMatrixError: ") for _, message in failures)
 
 
 class TestMetrics:

@@ -13,6 +13,7 @@ from precis import (
     penalized_qml,
     sample_covariance,
     sample_precision,
+    sym_eigen,
     tune_rho,
 )
 from precis.errors import (
@@ -111,6 +112,33 @@ class TestLedoitWolf:
         with pytest.raises(DegenerateMatrixError):
             ledoit_wolf(np.zeros((3, 3)), alpha=0.5)
 
+    @pytest.mark.parametrize("n,p,scaled", [(60, 8, False), (20, 30, False), (60, 8, True)])
+    def test_closed_form_intensity_matches_outer_product_sum(self, rng, n, p, scaled):
+        # oracle: the deviation of each observation's outer product from S_n,
+        # summed explicitly as in the original derivation
+        x = synth_returns(n, p, rng)
+        if scaled:
+            x[:, 3] *= 100.0
+        xc = x - x.mean(axis=0)
+        s_n = xc.T @ xc / n
+        b2 = sum(np.sum((np.outer(row, row) - s_n) ** 2) for row in xc) / n**2
+        d2 = np.sum((s_n - np.trace(s_n) / p * np.eye(p)) ** 2)
+        assert b2 < d2  # the intensity is not clipped, so the comparison has teeth
+        assert ledoit_wolf_intensity(x) == pytest.approx(b2 / d2, rel=1e-12, abs=0.0)
+
+    def test_spectrum_input_matches_matrix_input(self, rng):
+        window = synth_returns(40, 6, rng)
+        s = sample_covariance(window)
+        from_matrix = ledoit_wolf(s, window=window)
+        from_spectrum = ledoit_wolf(sym_eigen(s), window=window)
+        assert from_spectrum.lw_intensity == from_matrix.lw_intensity
+        assert np.allclose(from_spectrum.psi, from_matrix.psi, rtol=1e-12, atol=0.0)
+        alpha = from_matrix.lw_intensity
+        shrunk = (1 - alpha) * s + alpha * np.diag(s).mean() * np.eye(6)
+        assert condition_number(from_spectrum.spectrum) == pytest.approx(
+            np.linalg.cond(shrunk), rel=1e-10
+        )
+
 
 class TestPcaPrecision:
     def test_dominant_component_selected(self):
@@ -163,6 +191,18 @@ class TestPenalizedQml:
         s = sample_covariance(rng.normal(size=(5, 8)))
         with pytest.raises(SingularMatrixError):
             penalized_qml(s, 5, PenaltySpec("l1", 0.0))
+
+    @pytest.mark.parametrize("kind", ["l1", "l2", "elastic"])
+    def test_rho_zero_is_exact_inverse_without_iterations(self, rng, kind):
+        s = sample_covariance(synth_returns(60, 7, rng))
+        est = penalized_qml(s, 60, PenaltySpec(kind, 0.0))
+        ref = np.linalg.inv(s)
+        assert np.abs(est.psi - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert est.iterations == 0
+        assert est.converged and est.residual <= SolverOptions().tol
+        singular = sample_covariance(rng.normal(size=(5, 8)))
+        with pytest.raises(SingularMatrixError):
+            penalized_qml(singular, 5, PenaltySpec(kind, 0.0))
 
     def test_zero_diagonal_rejected(self):
         with pytest.raises(DegenerateMatrixError):

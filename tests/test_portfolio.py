@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_psd_singular, rand_spd
+from conftest import rand_psd_singular, rand_spd, synth_returns
 from precis import (
     equal_weights,
     invert_spd,
     mvp_weights,
     no_short_mvp,
+    sample_covariance,
+    sym_eigen,
 )
 from precis.errors import DegenerateMatrixError, NonconvergenceError, SingularMatrixError
 
@@ -127,6 +129,68 @@ class TestNoShortMvp:
     def test_single_asset(self):
         wv, _ = no_short_mvp(np.array([[2.0]]))
         assert wv.weights.tolist() == [1.0]
+
+
+def _kkt_ok(s, wv, cert):
+    grad = 2.0 * s @ wv.weights
+    on = wv.weights > 0
+    return np.abs(grad[on] - cert.multiplier).max() <= 1e-7 and np.all(
+        grad[~on] >= cert.multiplier - 1e-7
+    )
+
+
+class TestWarmStartedNoShortMvp:
+    """A feasible start changes the active-set path, never the optimum."""
+
+    def _check(self, s, start):
+        cold, cold_cert = no_short_mvp(s)
+        warm, warm_cert = no_short_mvp(s, start=start)
+        assert np.abs(warm.weights - cold.weights).max() <= 1e-12
+        assert warm_cert.residual <= 1e-7 and _kkt_ok(s, warm, warm_cert)
+        return cold_cert, warm_cert
+
+    def test_adjacent_window_start(self, rng):
+        returns = synth_returns(80, 25, rng)
+        prev = None
+        for t in range(60, 80):
+            s = sample_covariance(returns[t - 60 : t])
+            if prev is not None:
+                cold_cert, warm_cert = self._check(s, prev)
+                assert warm_cert.iterations <= cold_cert.iterations
+            prev = no_short_mvp(s)[0].weights
+
+    def test_random_supports(self, rng):
+        s = sample_covariance(synth_returns(60, 15, rng))
+        for _ in range(30):
+            support = rng.random(15) < rng.uniform(0.1, 0.9)
+            support[rng.integers(15)] = True
+            start = np.where(support, rng.random(15), 0.0)
+            self._check(s, start / start.sum())
+
+    def test_start_missing_held_assets(self, rng):
+        s = sample_covariance(synth_returns(60, 15, rng))
+        optimum = no_short_mvp(s)[0].weights
+        held, unheld = np.flatnonzero(optimum > 0), np.flatnonzero(optimum == 0)
+        assert held.size >= 2 and unheld.size >= 1
+        start = np.zeros(15)
+        start[unheld] = 1.0 / unheld.size  # every asset the optimum holds starts pinned
+        self._check(s, start)
+        start = np.zeros(15)
+        start[held[0]] = 1.0  # a single held asset
+        self._check(s, start)
+
+    def test_full_support_start(self, rng):
+        s = sample_covariance(synth_returns(60, 15, rng))
+        start = 0.5 + rng.random(15)
+        self._check(s, start / start.sum())
+
+    def test_spectrum_stands_in_for_singularity_check(self, rng):
+        s = sample_covariance(synth_returns(40, 6, rng))
+        with_spectrum, _ = no_short_mvp(s, spectrum=sym_eigen(s))
+        assert np.array_equal(with_spectrum.weights, no_short_mvp(s)[0].weights)
+        singular = rand_psd_singular(6, 3, rng)
+        with pytest.raises(SingularMatrixError):
+            no_short_mvp(singular, spectrum=sym_eigen(singular))
 
 
 @given(seed=st.integers(0, 10_000))
