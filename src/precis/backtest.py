@@ -30,7 +30,7 @@ from .estimators import (
     sample_precision,
     tune_rho,
 )
-from .linalg import EigenDecomposition, condition_number, sample_covariance, sym_eigen, symmetrize
+from .linalg import EigenDecomposition, condition_number, sample_covariance, sym_eigen
 from .panel import ReturnsPanel
 from .portfolio import WeightVector, equal_weights, mvp_weights, no_short_mvp
 
@@ -73,8 +73,14 @@ class StrategySpec:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy kind {self.kind!r}")
-        if self.rho is not None and self.rho < 0:
+        if self.rho is not None and not self.rho >= 0:
             raise ConfigError(f"rho must be nonnegative, got {self.rho}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.lw_alpha is not None and not 0.0 <= self.lw_alpha <= 1.0:
+            raise ConfigError(f"lw_alpha must lie in [0, 1], got {self.lw_alpha}")
+        if not 0.0 < self.pca_threshold <= 1.0:
+            raise ConfigError(f"pca_threshold must lie in (0, 1], got {self.pca_threshold}")
 
     @property
     def penalized(self) -> bool:
@@ -169,22 +175,18 @@ def _window_weights(
     converged: bool | None = None
 
     if spec.kind == "equal":
-        wv = replace(equal_weights(p), strategy=spec.name)
-    elif spec.kind == "pca":
-        # The MVP of psi = V_k diag(1/lambda_k) V_k' puts the budget constraint
-        # on the assets; the k factor portfolios themselves are not unit-sum.
-        pca = pca_precision(decomp, threshold=spec.pca_threshold)
-        psi = symmetrize((pca.components / pca.eigenvalues) @ pca.components.T)
-        wv = mvp_weights(psi, strategy=spec.name)
+        wv = equal_weights(p)
     elif spec.kind == "no_short":  # warm start from the previous window, cold after a failure
         last = run.records[-1] if run.records else None
         start = last.weights.weights if last and last.window_id == window_id - 1 else None
-        wv = replace(no_short_mvp(s, start=start, spectrum=decomp)[0], strategy=spec.name)
+        wv = no_short_mvp(s, start=start, spectrum=decomp)[0]
     else:
         if spec.kind == "sample":
             estimate = sample_precision(decomp)
         elif spec.kind == "ledoit_wolf":
             estimate = ledoit_wolf(decomp, alpha=spec.lw_alpha, window=window)
+        elif spec.kind == "pca":
+            estimate = pca_precision(decomp, threshold=spec.pca_threshold)
         else:
             penalty = PenaltySpec(kind=spec.penalty_kind, rho=float(rho), alpha=spec.alpha)
             estimate = penalized_qml(s, window.shape[0], penalty, solver)
@@ -192,7 +194,7 @@ def _window_weights(
             off = estimate.psi[~np.eye(p, dtype=bool)]
             zero_fraction = float(np.mean(np.abs(off) < SPARSITY_ZERO_TOL))
         cond = condition_number(estimate.psi if estimate.spectrum is None else estimate.spectrum)
-        wv = mvp_weights(estimate.psi, strategy=spec.name)
+        wv = mvp_weights(estimate.psi)
 
     return WindowRecord(
         window_id=window_id,

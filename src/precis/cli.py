@@ -39,6 +39,14 @@ TOP_LEVEL_KEYS = ("window_length", "turnover", "out", "grid", "solver", "dataset
 DATASET_KEYS = ("name", "path", "date_range")
 GRID_KEYS = ("start", "stop", "step")
 SOLVER_KEYS = ("tol", "max_iter")
+# The parameter keys each strategy kind reads, besides name and kind.
+STRATEGY_PARAMS = {
+    "qml_l1": ("rho",),
+    "qml_l2": ("rho",),
+    "qml_elastic": ("rho", "alpha"),
+    "ledoit_wolf": ("lw_alpha",),
+    "pca": ("pca_threshold",),
+}
 
 
 @dataclass(frozen=True)
@@ -95,28 +103,29 @@ def _parse_strategy(entry) -> StrategySpec:
         return StrategySpec(name=entry, kind=PAPER_LABELS[entry])
     if not isinstance(entry, dict):
         raise ConfigError(f"strategy entries must be labels or mappings, got {entry!r}")
-    entry = dict(entry)
-    name = entry.pop("name", None)
-    kind = entry.pop("kind", None)
-    if kind is None and name in PAPER_LABELS:
-        kind = PAPER_LABELS[name]
+    name = entry.get("name")
+    kind = entry.get("kind", PAPER_LABELS.get(name))
     if name is None or kind is None:
         raise ConfigError(f"strategy needs both name and kind: {entry!r}")
-    rho = entry.pop("rho", None)
+    rho = entry.get("rho")
     if isinstance(rho, str):
         if rho != "tune":
             raise ConfigError(f"rho must be a number or 'tune', got {rho!r}")
         rho = None
-    spec = StrategySpec(
-        name=name,
-        kind=kind,
-        rho=rho,
-        alpha=float(entry.pop("alpha", 0.5)),
-        lw_alpha=entry.pop("lw_alpha", None),
-        pca_threshold=float(entry.pop("pca_threshold", 0.99)),
-    )
-    if entry:
-        raise ConfigError(f"unknown strategy keys {sorted(entry)} for {name!r}")
+    try:
+        spec = StrategySpec(
+            name=name,
+            kind=kind,
+            rho=rho,
+            alpha=float(entry.get("alpha", 0.5)),
+            lw_alpha=entry.get("lw_alpha"),
+            pca_threshold=float(entry.get("pca_threshold", 0.99)),
+        )
+    except (TypeError, ValueError) as exc:  # a value that is not a number
+        raise ConfigError(f"strategy {name!r}: {exc}") from exc
+    # a key the kind does not read would be reported without any effect
+    known = ("name", "kind") + STRATEGY_PARAMS.get(kind, ())
+    _reject_unknown_keys(entry, known, f"strategy {name!r}")
     return spec
 
 

@@ -52,6 +52,8 @@ PENALTY_KINDS = ("l1", "l2", "elastic")
 ADMM_RHO0 = 1.0
 ADMM_BALANCE = 2.0
 ADMM_RHO_STEP = 4.0
+# Share of the tuning block that fits each grid point; the rest scores it.
+TUNE_FIT_SHARE = 0.75
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,6 @@ class PenaltySpec:
             return 0.0, 1.0
         return 1.0 - self.alpha, self.alpha
 
-    def value(self, psi: np.ndarray) -> float:
-        """rho * P(psi) over the off-diagonal entries (both triangles counted)."""
-        off = psi[~np.eye(psi.shape[0], dtype=bool)]
-        l1w, l2w = self.weights
-        return self.rho * (l1w * float(np.abs(off).sum()) + l2w * float((off**2).sum()))
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -109,8 +105,6 @@ class PrecisionEstimate:
     """An estimated precision matrix plus solver provenance."""
 
     psi: np.ndarray
-    estimator_kind: str
-    objective_value: float = math.nan
     iterations: int = 0
     converged: bool = True
     residual: float = 0.0
@@ -118,26 +112,10 @@ class PrecisionEstimate:
     spectrum: EigenDecomposition | None = None  # of the covariance estimate psi inverts
 
 
-@dataclass(frozen=True)
-class PcaEstimate:
-    """Reduced-dimension precision from the dominant principal components.
-
-    components holds the retained eigenvectors as p x k columns (descending
-    eigenvalue order); reduced_precision is the k x k diagonal of inverse
-    eigenvalues.
-    """
-
-    k: int
-    components: np.ndarray
-    reduced_precision: np.ndarray
-    explained_fraction: float
-    eigenvalues: np.ndarray  # the k retained eigenvalues, descending
-
-
 def sample_precision(s: np.ndarray | EigenDecomposition) -> PrecisionEstimate:
     """Directly invert the sample covariance (or its spectrum); fails on singular windows."""
     decomp = s if isinstance(s, EigenDecomposition) else sym_eigen(s)
-    return PrecisionEstimate(psi=invert_spd(decomp), estimator_kind="sample", spectrum=decomp)
+    return PrecisionEstimate(psi=invert_spd(decomp), spectrum=decomp)
 
 
 def ledoit_wolf_intensity(window: np.ndarray) -> float:
@@ -186,21 +164,21 @@ def ledoit_wolf(
         raise ValueError(f"shrinkage intensity must lie in [0, 1], got {alpha}")
     lam = (1.0 - alpha) * decomp.eigenvalues + alpha * sigma2bar
     shrunk = EigenDecomposition(eigenvalues=lam, eigenvectors=decomp.eigenvectors)
-    return PrecisionEstimate(
-        invert_spd(shrunk), "ledoit_wolf", lw_intensity=float(alpha), spectrum=shrunk
-    )
+    return PrecisionEstimate(invert_spd(shrunk), lw_intensity=float(alpha), spectrum=shrunk)
 
 
-def pca_precision(window: np.ndarray | EigenDecomposition, threshold: float = 0.99) -> PcaEstimate:
-    """Keep the fewest leading principal components explaining >= threshold.
+def pca_precision(s: np.ndarray | EigenDecomposition, threshold: float = 0.99) -> PrecisionEstimate:
+    """Precision V_k diag(1/lambda_k) V_k' from the leading principal components.
 
-    Eigenvalues are taken in descending order from the window's sample
-    covariance (or its EigenDecomposition, passed in the window's place);
-    the reduced precision is the diagonal of their inverses.
+    k is the fewest components that explain >= threshold of the variance of
+    s, the sample covariance or its EigenDecomposition. The estimate's
+    spectrum is S's with the p - k dropped eigenvalues set to 0: the rank-k
+    covariance that psi pseudo-inverts, so its condition number is infinite
+    unless every component is kept.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    decomp = window if isinstance(window, EigenDecomposition) else sym_eigen(sample_covariance(window))
+    decomp = s if isinstance(s, EigenDecomposition) else sym_eigen(s)
     lam = decomp.eigenvalues[::-1]
     vecs = decomp.eigenvectors[:, ::-1]
     positive = np.maximum(lam, 0.0)
@@ -213,32 +191,18 @@ def pca_precision(window: np.ndarray | EigenDecomposition, threshold: float = 0.
     retained = lam[:k]
     if retained[-1] <= 0:
         raise DegenerateMatrixError("threshold reaches into the null spectrum")
-    return PcaEstimate(
-        k=k,
-        components=vecs[:, :k].copy(),
-        reduced_precision=np.diag(1.0 / retained),
-        explained_fraction=float(shares[k - 1]),
-        eigenvalues=retained.copy(),
+    components = vecs[:, :k]
+    kept = decomp.eigenvalues.copy()
+    kept[: len(lam) - k] = 0.0  # ascending order: the dropped ones come first
+    return PrecisionEstimate(
+        psi=symmetrize((components / retained) @ components.T),
+        spectrum=EigenDecomposition(eigenvalues=kept, eigenvectors=decomp.eigenvectors),
     )
 
 
 # --------------------------------------------------------------------------
 # Penalized QML
 # --------------------------------------------------------------------------
-
-def _qml_objective(psi: np.ndarray, s: np.ndarray, lam1: float, lam2: float) -> float:
-    """Normalized objective logdet - trace - penalty; -inf when not PD."""
-    sign, logdet = np.linalg.slogdet(psi)
-    if sign <= 0:
-        return -np.inf
-    off = psi[~np.eye(psi.shape[0], dtype=bool)]
-    return (
-        logdet
-        - float(np.sum(s * psi))
-        - lam1 * float(np.abs(off).sum())
-        - lam2 * float((off**2).sum())
-    )
-
 
 def _optimality_residual(
     psi: np.ndarray, w: np.ndarray, s: np.ndarray, lam1: float, lam2: float
@@ -357,9 +321,6 @@ def penalized_qml(
         residual = np.inf if w is None else _optimality_residual(psi, w, s, 0.0, 0.0)
         converged = residual <= opts.tol * scale
     residual /= scale
-
-    scale = t / 2.0
-    objective = scale * _qml_objective(psi, s, lam1, lam2)
     if not converged:
         logger.warning(
             "penalized_qml (%s, rho=%.4g) stopped after %d iterations, residual %.3e",
@@ -368,14 +329,7 @@ def penalized_qml(
             iterations,
             residual,
         )
-    return PrecisionEstimate(
-        psi=psi,
-        estimator_kind=f"qml_{penalty.kind}",
-        objective_value=objective,
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-    )
+    return PrecisionEstimate(psi=psi, iterations=iterations, converged=converged, residual=residual)
 
 
 def predictive_loglik(psi: np.ndarray, s_holdout: np.ndarray) -> float:
@@ -390,15 +344,15 @@ def tune_rho(
     in_sample: np.ndarray,
     kind: str,
     grid,
-    split: float = 0.75,
     alpha: float = 0.5,
     opts: SolverOptions | None = None,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Grid-search rho by held-out predictive likelihood.
 
-    Fits on the first ceil(split * n) rows of the in-sample block and scores
-    each fitted precision by logdet - trace(S_holdout psi) on the rest (pure
-    in-sample likelihood is maximized at rho = 0, so a holdout is forced).
+    Fits on the first ceil(TUNE_FIT_SHARE * n) rows of the in-sample block
+    and scores each fitted precision by logdet - trace(S_holdout psi) on the
+    rest (pure in-sample likelihood is maximized at rho = 0, so a holdout is
+    forced).
     Grid points whose solver fails to converge score -inf. Ties break toward
     the smaller rho. Returns (rho_star, [(rho, score), ...]).
     """
@@ -410,12 +364,7 @@ def tune_rho(
         raise TuningError("empty rho grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise TuningError("rho grid must be strictly ascending")
-    if not 0.0 < split < 1.0:
-        raise ValueError(f"split must lie in (0, 1), got {split}")
-    n = block.shape[0]
-    n_fit = math.ceil(split * n)
-    if n - n_fit < 2 or n_fit < 2:
-        raise InsufficientDataError(f"split {split} leaves too few rows on one side of {n}")
+    n_fit = math.ceil(TUNE_FIT_SHARE * block.shape[0])  # 24 rows leave 18 to fit, 6 to score
     s_fit = sample_covariance(block[:n_fit])
     s_hold = sample_covariance(block[n_fit:])
 

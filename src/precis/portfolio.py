@@ -18,20 +18,17 @@ WEIGHT_SUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Unit-sum portfolio weights tagged with their strategy."""
+    """Finite portfolio weights that sum to one."""
 
     weights: np.ndarray
-    strategy: str
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
         if not np.all(np.isfinite(w)):
-            raise DegenerateMatrixError(f"non-finite weights for strategy {self.strategy!r}")
+            raise DegenerateMatrixError("non-finite weights")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise DegenerateMatrixError(
-                f"weights sum to {w.sum():.12f}, not 1, for strategy {self.strategy!r}"
-            )
+            raise DegenerateMatrixError(f"weights sum to {w.sum():.12f}, not 1")
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,7 @@ class KktCertificate:
     iterations: int
 
 
-def mvp_weights(psi: np.ndarray, strategy: str = "mvp") -> WeightVector:
+def mvp_weights(psi: np.ndarray) -> WeightVector:
     """Global minimum-variance weights psi e / (e' psi e)."""
     psi = check_symmetric(psi)
     row_sums = psi.sum(axis=1)
@@ -55,14 +52,14 @@ def mvp_weights(psi: np.ndarray, strategy: str = "mvp") -> WeightVector:
     if abs(denom) < 1e-12 * max(float(np.linalg.norm(psi)), 1e-300):
         raise DegenerateMatrixError("e' psi e is numerically zero; MVP undefined")
     w = row_sums / denom
-    return WeightVector(weights=w / w.sum(), strategy=strategy)
+    return WeightVector(weights=w / w.sum())
 
 
 def equal_weights(p: int) -> WeightVector:
     """1/p in every asset."""
     if p < 1:
         raise DegenerateMatrixError("cannot build equal weights over zero assets")
-    return WeightVector(weights=np.full(p, 1.0 / p), strategy="equal")
+    return WeightVector(weights=np.full(p, 1.0 / p))
 
 
 def no_short_mvp(
@@ -126,7 +123,7 @@ def no_short_mvp(
                 cert = KktCertificate(
                     multiplier=lam, residual=max(res_free, res_pinned), iterations=iterations
                 )
-                return WeightVector(weights=w, strategy="no_short"), cert
+                return WeightVector(weights=w), cert
             free[int(violated.min())] = True
         else:
             direction = np.zeros(p)
@@ -142,5 +139,5 @@ def no_short_mvp(
             free[block] = False
     raise NonconvergenceError(
         f"active-set QP did not converge in {max_iter} iterations",
-        best=WeightVector(weights=w / w.sum(), strategy="no_short"),
+        best=WeightVector(weights=w / w.sum()),
     )

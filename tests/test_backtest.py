@@ -48,7 +48,7 @@ def fake_run(weight_rows, oos=None, conds=None, zeros=None, start_id=0, gaps=())
         records.append(
             WindowRecord(
                 window_id=wid,
-                weights=WeightVector(np.asarray(row, dtype=float), "X"),
+                weights=WeightVector(np.asarray(row, dtype=float)),
                 oos_return=0.0 if oos is None else float(oos[k]),
                 cond=np.nan if conds is None else conds[k],
                 zero_fraction=np.nan if zeros is None else zeros[k],
@@ -201,6 +201,7 @@ NON_PENALIZED = (
     StrategySpec("EW-MVP", "equal"),
     StrategySpec("LW-MVP", "ledoit_wolf"),
     StrategySpec("PCA-MVP", "pca"),
+    StrategySpec("PCA-90", "pca", pca_threshold=0.9),
     StrategySpec("JM-MVP", "no_short"),
 )
 
@@ -217,9 +218,12 @@ def _rebuilt_record(spec, rows):
         if spec.kind == "no_short":
             return no_short_mvp(s)[0].weights, np.nan
         if spec.kind == "pca":
-            est = pca_precision(rows, threshold=spec.pca_threshold)
-            psi = (est.components / est.eigenvalues) @ est.components.T
-            return mvp_weights(0.5 * (psi + psi.T)).weights, np.nan
+            # psi pseudo-inverts the rank-k covariance: S's condition number
+            # when every component is kept, infinite otherwise
+            lam = np.linalg.eigvalsh(s)[::-1]
+            k = int(np.argmax(np.cumsum(lam) >= spec.pca_threshold * lam.sum())) + 1
+            cond = condition_number(s) if k == len(lam) else np.inf
+            return mvp_weights(pca_precision(s, spec.pca_threshold).psi).weights, cond
         if spec.kind == "sample":
             psi = sample_precision(s).psi
         else:  # Ledoit-Wolf, shrunk as a dense matrix
@@ -269,6 +273,9 @@ class TestSharedWindowWork:
                     assert np.isnan(rec.cond)
                 else:
                     assert rec.cond == pytest.approx(cond, rel=1e-10, abs=0.0)
+        # both PCA cases occur: every component kept, and some dropped
+        assert np.all(np.isfinite([rec.cond for rec in runs["PCA-MVP"].records]))
+        assert np.all(np.isinf([rec.cond for rec in runs["PCA-90"].records]))
 
     def test_wide_windows_fail_as_when_rebuilt(self, rng):
         # p = 12 > T = 8: S is singular on every window

@@ -265,6 +265,43 @@ def test_pca_threshold_parses_into_spec(workspace):
 
 
 @pytest.mark.parametrize(
+    "strategy, key",
+    [
+        ({"name": "EN-MVP", "kind": "qml_elastic", "rho": 0.5, "alpha": 1.5}, "alpha"),
+        ({"name": "LW-MVP", "lw_alpha": 2.0}, "lw_alpha"),
+        ({"name": "PCA-MVP", "pca_threshold": 0}, "pca_threshold"),
+        ({"name": "EN-MVP", "kind": "qml_elastic", "rho": 0.5, "alpha": "half"}, "half"),
+        ({"name": "S-MVP", "rho": 0.7}, "rho"),
+        ({"name": "Ridge-MVP", "kind": "qml_l2", "rho": 0.5, "alpha": 0.5}, "alpha"),
+        ({"name": "LW-MVP", "pca_threshold": 0.9}, "pca_threshold"),
+        ({"name": "PCA-MVP", "lw_alpha": 0.5}, "lw_alpha"),
+    ],
+    ids=[
+        "alpha-out-of-range",
+        "lw_alpha-out-of-range",
+        "pca_threshold-out-of-range",
+        "alpha-not-a-number",
+        "rho-on-sample",
+        "alpha-on-ridge",
+        "pca_threshold-on-ledoit-wolf",
+        "lw_alpha-on-pca",
+    ],
+)
+def test_bad_strategy_parameter_is_a_config_error(workspace, capsys, strategy, key):
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
+    raw["strategies"] = ["EW-MVP", strategy]
+    config.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=key):
+        load_config(config)
+    assert main(["backtest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert not (root / "out").exists()
+
+
+@pytest.mark.parametrize(
     "change, key",
     [
         (lambda raw: raw.update(seed=0), "seed"),
@@ -289,3 +326,10 @@ def test_committed_configs_use_only_known_keys():
     except ConfigError as exc:
         # the paper's return files are not shipped; nothing else may fail
         assert "no such file" in str(exc), exc
+
+
+def test_every_exported_name_resolves():
+    import precis
+
+    missing = [name for name in precis.__all__ if not hasattr(precis, name)]
+    assert not missing and len(set(precis.__all__)) == len(precis.__all__)

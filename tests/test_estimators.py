@@ -49,7 +49,6 @@ class TestSamplePrecision:
     def test_identity(self):
         est = sample_precision(np.eye(3))
         assert np.allclose(est.psi, np.eye(3))
-        assert est.estimator_kind == "sample"
 
     def test_diagonal(self):
         est = sample_precision(np.diag([2.0, 5.0]))
@@ -141,24 +140,23 @@ class TestLedoitWolf:
 
 
 class TestPcaPrecision:
+    @staticmethod
+    def kept(est):
+        """Number of retained components: the nonzero eigenvalues of est.spectrum."""
+        return int(np.count_nonzero(est.spectrum.eigenvalues))
+
     def test_dominant_component_selected(self):
-        # 4-row window with exact covariance diag(4, 0.01)
-        a = np.sqrt(3.0)
-        b = np.sqrt(3.0 * 0.01 / 4.0)
-        window = np.column_stack([[a, -a, a, -a], [b, b, -b, -b]])
-        assert np.allclose(sample_covariance(window), np.diag([4.0, 0.01]))
-        est = pca_precision(window, threshold=0.99)
-        assert est.k == 1
-        assert est.explained_fraction >= 0.99
-        assert np.allclose(est.reduced_precision, [[0.25]])
+        est = pca_precision(np.diag([4.0, 0.01]), threshold=0.99)
+        assert self.kept(est) == 1
+        assert np.allclose(est.psi, np.diag([0.25, 0.0]))
+        assert np.allclose(est.spectrum.reconstruct(), np.diag([4.0, 0.0]))
+        assert condition_number(est.spectrum) == np.inf
 
     def test_equal_shares_force_all_components(self):
-        # exact covariance (4/3) * I_3 from orthogonal sign patterns
-        window = np.column_stack(
-            [[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
-        )
-        est = pca_precision(window, threshold=0.99)
-        assert est.k == 3
+        s = np.eye(3) * (4.0 / 3.0)
+        est = pca_precision(s, threshold=0.99)
+        assert self.kept(est) == 3
+        assert np.allclose(est.psi, np.eye(3) * 0.75)
 
     def test_factor_data_reduces_dimension(self, rng):
         # three strong factors plus small idiosyncratic noise: the tail of the
@@ -166,16 +164,38 @@ class TestPcaPrecision:
         p = 17
         loadings = rng.normal(size=(p, 3))
         factors = rng.normal(size=(120, 3))
-        window = factors @ loadings.T + np.sqrt(0.05) * rng.normal(size=(120, p))
-        est = pca_precision(window, threshold=0.99)
-        assert est.explained_fraction >= 0.99
-        assert est.k < p
-        assert np.allclose(est.components.T @ est.components, np.eye(est.k), atol=1e-10)
+        s = sample_covariance(factors @ loadings.T + np.sqrt(0.05) * rng.normal(size=(120, p)))
+        est = pca_precision(s, threshold=0.99)
+        k = self.kept(est)
+        assert k < p
+        lam = np.sort(np.linalg.eigvalsh(s))[::-1]
+        assert lam[:k].sum() >= 0.99 * lam.sum() > lam[: k - 1].sum()  # the fewest that reach it
+        # psi is the pseudo-inverse of the rank-k covariance its spectrum holds
+        low_rank = est.spectrum.reconstruct()
+        assert np.linalg.matrix_rank(est.psi) == k
+        assert np.allclose(est.psi, np.linalg.pinv(low_rank, rcond=1e-10), atol=1e-10)
+
+    def test_spectrum_input_matches_matrix_input(self, rng):
+        s = sample_covariance(synth_returns(60, 9, rng))
+        for threshold in (0.5, 0.9, 1.0):
+            from_matrix = pca_precision(s, threshold)
+            from_spectrum = pca_precision(sym_eigen(s), threshold)
+            assert np.array_equal(from_matrix.psi, from_spectrum.psi)
+            assert np.array_equal(
+                from_matrix.spectrum.eigenvalues, from_spectrum.spectrum.eigenvalues
+            )
+
+    def test_full_threshold_is_the_sample_precision(self, rng):
+        s = sample_covariance(synth_returns(60, 9, rng))
+        est = pca_precision(s, threshold=1.0)
+        assert self.kept(est) == 9
+        ref = sample_precision(s).psi
+        assert np.abs(est.psi - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert condition_number(est.spectrum) == condition_number(s)
 
     def test_zero_variance_rejected(self):
-        window = np.ones((4, 3))
         with pytest.raises(DegenerateMatrixError):
-            pca_precision(window)
+            pca_precision(np.zeros((3, 3)))
 
 
 class TestPenalizedQml:
@@ -256,14 +276,17 @@ class TestPenalizedQml:
         penalty = PenaltySpec(kind, rho)
         est = penalized_qml(s, t, penalty, TIGHT)
         assert est.converged
+        l1w, l2w = penalty.weights
 
         def objective(psi):
+            # the written objective: (T/2)(logdet - trace(S psi)) - rho P(psi)
             sign, logdet = np.linalg.slogdet(psi)
             assert sign > 0
-            return (t / 2.0) * (logdet - np.sum(s * psi)) - penalty.value(psi)
+            off = offdiag(psi)
+            penalty_value = rho * (l1w * np.abs(off).sum() + l2w * (off**2).sum())
+            return (t / 2.0) * (logdet - np.sum(s * psi)) - penalty_value
 
         best = objective(est.psi)
-        assert est.objective_value == pytest.approx(best, rel=1e-12)
         for _ in range(20):
             e = rng.normal(size=(8, 8))
             e = (e + e.T) / np.linalg.norm(e + e.T)
@@ -341,13 +364,6 @@ class TestPenalizedQml:
                 est = penalized_qml(s, 36, PenaltySpec(kind, 0.54), SolverOptions(max_iter=max_iter))
                 assert not est.converged
                 assert np.linalg.eigvalsh(est.psi)[0] > 0, (kind, max_iter)
-
-    def test_objective_value_uses_written_scale(self, rng):
-        # doubling T doubles the likelihood part of the reported objective
-        s = rand_spd(4, rng)
-        e1 = penalized_qml(s, 50, PenaltySpec("l1", 0.0), TIGHT)
-        e2 = penalized_qml(s, 100, PenaltySpec("l1", 0.0), TIGHT)
-        assert e2.objective_value == pytest.approx(2.0 * e1.objective_value, rel=1e-6)
 
 
 class TestTuneRho:
