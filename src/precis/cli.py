@@ -104,8 +104,10 @@ def _parse_strategy(entry) -> StrategySpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"strategy entries must be labels or mappings, got {entry!r}")
     name = entry.get("name")
+    if not isinstance(name, str):
+        raise ConfigError(f"strategy name must be a string: {entry!r}")
     kind = entry.get("kind", PAPER_LABELS.get(name))
-    if name is None or kind is None:
+    if kind is None:
         raise ConfigError(f"strategy needs both name and kind: {entry!r}")
     rho = entry.get("rho")
     if isinstance(rho, str):
@@ -129,7 +131,20 @@ def _parse_strategy(entry) -> StrategySpec:
     return spec
 
 
+def _number(value, where: str, integer: bool = False) -> float | int:
+    """A config value as a float, or as an int when integer; anything else is a ConfigError."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if math.isnan(number) or (integer and not number.is_integer()):
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(number) if integer else number
+
+
 def _reject_unknown_keys(entry: dict, known: tuple[str, ...], where: str) -> None:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be a mapping, got {entry!r}")
     unknown = sorted(set(entry) - set(known))
     if unknown:
         raise ConfigError(f"unknown {where} keys {unknown}; known: {list(known)}")
@@ -170,17 +185,16 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
 
     grid_raw = raw.get("grid", {})
     _reject_unknown_keys(grid_raw, GRID_KEYS, "grid")
-    grid = (
-        float(grid_raw.get("start", 0.0)),
-        float(grid_raw.get("stop", 3.0)),
-        float(grid_raw.get("step", 0.1)),
+    grid = tuple(
+        _number(grid_raw.get(key, default), f"grid {key}")
+        for key, default in zip(GRID_KEYS, (0.0, 3.0, 0.1))
     )
     solver_raw = raw.get("solver", {})
     _reject_unknown_keys(solver_raw, SOLVER_KEYS, "solver")
     try:
         solver = SolverOptions(
-            tol=float(solver_raw.get("tol", 1e-6)),
-            max_iter=int(solver_raw.get("max_iter", 10000)),
+            tol=_number(solver_raw.get("tol", 1e-6), "solver tol"),
+            max_iter=_number(solver_raw.get("max_iter", 10000), "solver max_iter", integer=True),
         )
     except ValueError as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
@@ -188,7 +202,7 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
     values = dict(
         datasets=tuple(datasets),
         strategies=tuple(strategies),
-        window_length=int(raw.get("window_length", 120)),
+        window_length=_number(raw.get("window_length", 120), "window_length", integer=True),
         grid=grid,
         out_dir=out_raw if out_raw.is_absolute() else path.parent / out_raw,
         turnover_convention=str(raw.get("turnover", "drift")),
@@ -206,7 +220,7 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
             parts = overrides.grid.split(":")
             if len(parts) != 3:
                 raise ConfigError(f"--grid expects START:STOP:STEP, got {overrides.grid!r}")
-            values["grid"] = tuple(float(x) for x in parts)
+            values["grid"] = tuple(_number(x, "--grid") for x in parts)
         if getattr(overrides, "strategies", None):
             wanted = [s.strip() for s in overrides.strategies.split(",") if s.strip()]
             by_name = {s.name: s for s in values["strategies"]}

@@ -319,6 +319,40 @@ def test_unknown_config_key_fails(workspace, change, key):
     assert main(["backtest", "--config", str(config)]) == 1
 
 
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        (lambda raw: raw["strategies"].append({"name": ["a"], "kind": "sample"}), "name"),
+        (lambda raw: raw["solver"].update(tol=[1]), "tol"),
+        (lambda raw: raw["grid"].update(start="abc"), "start"),
+        (lambda raw: raw.update(window_length="abc"), "window_length"),
+        (lambda raw: raw["solver"].update(max_iter=1.5), "max_iter"),
+        (lambda raw: raw["solver"].update(tol=float("nan")), "tol"),
+        (lambda raw: raw.update(grid=5), "grid"),
+    ],
+    ids=[
+        "name-not-a-string",
+        "tol-a-list",
+        "grid-start-text",
+        "window-text",
+        "max_iter-fraction",
+        "tol-nan",
+        "grid-not-a-mapping",
+    ],
+)
+def test_malformed_config_value_is_a_config_error(workspace, capsys, change, key):
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    change(raw)
+    config.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=key):
+        load_config(config)
+    assert main(["backtest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert not (root / "out").exists()
+
+
 def test_committed_configs_use_only_known_keys():
     load_config(REPO / "demo" / "demo.yaml")
     try:

@@ -355,12 +355,24 @@ class TestPenalizedQml:
         assert est.converged
         assert np.linalg.eigvalsh(est.psi)[0] > 0
 
+    def test_singular_window_ridge_iteration_guard(self):
+        # p = 40 > T = 36: plain ADMM takes about 320 iterations here
+        s = sample_covariance(synth_returns(36, 40, np.random.default_rng(0)))
+        est = penalized_qml(s, 36, PenaltySpec("l2", 0.5))
+        assert est.converged and est.iterations <= 150, est.iterations
+
+    def test_wide_fit_block_small_rho_iteration_guard(self):
+        # the 90-row tuning fit block at p = 100: plain ADMM takes 1230 iterations
+        s = sample_covariance(synth_returns(510, 100, np.random.default_rng(0))[:90])
+        est = penalized_qml(s, 90, PenaltySpec("l2", 0.1))
+        assert est.converged and est.iterations <= 400, est.iterations
+
     def test_capped_solve_returns_positive_definite(self):
         # early iterates on a singular window can be indefinite; a solve cut
         # short must still hand back a usable precision
         s = sample_covariance(synth_returns(36, 40, np.random.default_rng(0)))
         for kind in ("l1", "elastic"):
-            for max_iter in range(1, 11):
+            for max_iter in range(1, 26):  # past the first extrapolated iterations
                 est = penalized_qml(s, 36, PenaltySpec(kind, 0.54), SolverOptions(max_iter=max_iter))
                 assert not est.converged
                 assert np.linalg.eigvalsh(est.psi)[0] > 0, (kind, max_iter)
