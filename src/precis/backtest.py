@@ -10,6 +10,7 @@ recorded as first-class report content rather than aborting the run.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +51,14 @@ PAPER_LABELS = {
     "EN-MVP": "qml_elastic",
 }
 STRATEGY_KINDS = tuple(PAPER_LABELS.values())
+# The parameter keys each strategy kind reads, besides name and kind.
+STRATEGY_PARAMS = {
+    "qml_l1": ("rho",),
+    "qml_l2": ("rho",),
+    "qml_elastic": ("rho", "alpha"),
+    "ledoit_wolf": ("lw_alpha",),
+    "pca": ("pca_threshold",),
+}
 
 DEFAULT_RHO_GRID = tuple(round(0.1 * k, 1) for k in range(31))  # 0.0 .. 3.0 step 0.1
 
@@ -73,8 +82,8 @@ class StrategySpec:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy kind {self.kind!r}")
-        if self.rho is not None and not self.rho >= 0:
-            raise ConfigError(f"rho must be nonnegative, got {self.rho}")
+        if self.rho is not None and not 0 <= self.rho < math.inf:
+            raise ConfigError(f"rho must be finite and nonnegative, got {self.rho}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.lw_alpha is not None and not 0.0 <= self.lw_alpha <= 1.0:
@@ -443,6 +452,14 @@ class BacktestReport:
     strategies: tuple[StrategyReport, ...]
 
 
+def _defined(metric, *args):
+    """metric(*args), or None where the metric reports itself undefined for the run."""
+    try:
+        return metric(*args)
+    except (InsufficientDataError, UndefinedMetricError):
+        return None
+
+
 def build_report(
     runs: dict[str, StrategyRun],
     panel: ReturnsPanel,
@@ -454,52 +471,38 @@ def build_report(
     reports: list[StrategyReport] = []
     for spec in config.strategies:
         run = runs[spec.name]
-        base = dict(
-            name=spec.name,
-            kind=spec.kind,
-            available=run.available,
-            n_windows=run.n_windows,
-            n_success=run.n_success,
-            n_failed=len(run.failures),
-            rho=run.tuned_rho if run.tuned_rho is not None else spec.rho,
-            tuned=run.tuned_rho is not None,
-            failures=tuple(run.failures),
-        )
-        if run.available:
-            base["oos_mean"] = oos_mean(run)
-            if run.n_success >= 2:
-                var = oos_variance(run)
-                base["oos_variance"] = var
-                if var > 0:
-                    base["sharpe"] = oos_sharpe(run)
-                try:
-                    base["turnover"] = turnover(run, panel, turnover_convention)
-                    base["turnover_convention"] = turnover_convention
-                except InsufficientDataError:
-                    pass
-            summary = weight_distribution(run)
-            base.update(
-                weight_min=summary.minimum,
-                weight_p5=summary.p5,
-                weight_p95=summary.p95,
-                weight_max=summary.maximum,
-                weight_neg_fraction=summary.neg_fraction,
+        weights = _defined(weight_distribution, run)
+        cond = _defined(condition_stats, run)
+        turn = _defined(turnover, run, panel, turnover_convention)
+        flags = [rec.converged for rec in run.records if rec.converged is not None]
+        reports.append(
+            StrategyReport(
+                name=spec.name,
+                kind=spec.kind,
+                available=run.available,
+                n_windows=run.n_windows,
+                n_success=run.n_success,
+                n_failed=len(run.failures),
+                rho=run.tuned_rho if run.tuned_rho is not None else spec.rho,
+                tuned=run.tuned_rho is not None,
+                oos_mean=_defined(oos_mean, run),
+                oos_variance=_defined(oos_variance, run),
+                sharpe=_defined(oos_sharpe, run),
+                turnover=turn,
+                turnover_convention=None if turn is None else turnover_convention,
+                cond_mean=cond and cond.mean,
+                cond_std=cond and cond.std,
+                cond_infinite=cond and cond.n_infinite,
+                weight_min=weights and weights.minimum,
+                weight_p5=weights and weights.p5,
+                weight_p95=weights and weights.p95,
+                weight_max=weights and weights.maximum,
+                weight_neg_fraction=weights and weights.neg_fraction,
+                sparsity=_defined(sparsity, run),
+                n_converged=int(sum(flags)) if flags else None,
+                failures=tuple(run.failures),
             )
-            try:
-                stats = condition_stats(run)
-                base.update(
-                    cond_mean=stats.mean, cond_std=stats.std, cond_infinite=stats.n_infinite
-                )
-            except UndefinedMetricError:
-                pass
-            try:
-                base["sparsity"] = sparsity(run)
-            except UndefinedMetricError:
-                pass
-            flags = [rec.converged for rec in run.records if rec.converged is not None]
-            if flags:
-                base["n_converged"] = int(sum(flags))
-        reports.append(StrategyReport(**base))
+        )
     return BacktestReport(
         dataset=dataset,
         n=panel.n,

@@ -23,6 +23,8 @@ import yaml
 
 from .backtest import (
     PAPER_LABELS,
+    STRATEGY_KINDS,
+    STRATEGY_PARAMS,
     BacktestReport,
     RollingConfig,
     StrategySpec,
@@ -39,14 +41,6 @@ TOP_LEVEL_KEYS = ("window_length", "turnover", "out", "grid", "solver", "dataset
 DATASET_KEYS = ("name", "path", "date_range")
 GRID_KEYS = ("start", "stop", "step")
 SOLVER_KEYS = ("tol", "max_iter")
-# The parameter keys each strategy kind reads, besides name and kind.
-STRATEGY_PARAMS = {
-    "qml_l1": ("rho",),
-    "qml_l2": ("rho",),
-    "qml_elastic": ("rho", "alpha"),
-    "ledoit_wolf": ("lw_alpha",),
-    "pca": ("pca_threshold",),
-}
 
 
 @dataclass(frozen=True)
@@ -58,42 +52,33 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: datasets, strategies, protocol knobs."""
+    """Everything a run needs: datasets, the rolling protocol, output knobs.
+
+    grid is the (start, stop, step) triple the tuning grid in rolling was
+    built from, kept for the report.
+    """
 
     datasets: tuple[DatasetConfig, ...]
-    strategies: tuple[StrategySpec, ...]
-    window_length: int = 120
-    grid: tuple[float, float, float] = (0.0, 3.0, 0.1)  # start, stop, step
-    out_dir: Path = Path("out")
-    turnover_convention: str = "drift"
-    solver: SolverOptions = SolverOptions()
+    rolling: RollingConfig
+    grid: tuple[float, float, float]
+    out_dir: Path
+    turnover_convention: str
 
     def __post_init__(self):
-        if self.window_length < 2:
-            raise ConfigError(f"window_length must be >= 2, got {self.window_length}")
-        start, stop, step = self.grid
-        if step <= 0:
-            raise ConfigError(f"grid step must be positive, got {step}")
-        if stop < start:
-            raise ConfigError(f"grid stop {stop} below start {start}")
         if self.turnover_convention not in ("drift", "literal"):
             raise ConfigError(f"unknown turnover convention {self.turnover_convention!r}")
         for ds in self.datasets:
             if not ds.path.exists():
                 raise ConfigError(f"dataset {ds.name!r}: no such file {ds.path}")
 
-    def grid_values(self) -> tuple[float, ...]:
-        start, stop, step = self.grid
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(round(start + k * step, 10) for k in range(count))
 
-    def rolling(self) -> RollingConfig:
-        return RollingConfig(
-            strategies=self.strategies,
-            window_length=self.window_length,
-            tuning_grid=self.grid_values(),
-            solver=self.solver,
-        )
+def _grid_values(start: float, stop: float, step: float) -> tuple[float, ...]:
+    if step <= 0:
+        raise ConfigError(f"grid step must be positive, got {step}")
+    if stop < start:
+        raise ConfigError(f"grid stop {stop} below start {start}")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return tuple(round(start + k * step, 10) for k in range(count))
 
 
 def _parse_strategy(entry) -> StrategySpec:
@@ -107,38 +92,28 @@ def _parse_strategy(entry) -> StrategySpec:
     if not isinstance(name, str):
         raise ConfigError(f"strategy name must be a string: {entry!r}")
     kind = entry.get("kind", PAPER_LABELS.get(name))
-    if kind is None:
-        raise ConfigError(f"strategy needs both name and kind: {entry!r}")
-    rho = entry.get("rho")
-    if isinstance(rho, str):
-        if rho != "tune":
-            raise ConfigError(f"rho must be a number or 'tune', got {rho!r}")
-        rho = None
-    try:
-        spec = StrategySpec(
-            name=name,
-            kind=kind,
-            rho=rho,
-            alpha=float(entry.get("alpha", 0.5)),
-            lw_alpha=entry.get("lw_alpha"),
-            pca_threshold=float(entry.get("pca_threshold", 0.99)),
-        )
-    except (TypeError, ValueError) as exc:  # a value that is not a number
-        raise ConfigError(f"strategy {name!r}: {exc}") from exc
+    if kind not in STRATEGY_KINDS:
+        raise ConfigError(f"strategy {name!r} needs a kind from {list(STRATEGY_KINDS)}: {entry!r}")
+    keys = STRATEGY_PARAMS.get(kind, ())
     # a key the kind does not read would be reported without any effect
-    known = ("name", "kind") + STRATEGY_PARAMS.get(kind, ())
-    _reject_unknown_keys(entry, known, f"strategy {name!r}")
-    return spec
+    _reject_unknown_keys(entry, ("name", "kind") + keys, f"strategy {name!r}")
+    params = {  # "rho: tune" leaves rho at its default, None, which tunes it
+        key: _number(entry[key], f"strategy {name!r} {key}")
+        for key in keys
+        if key in entry and not (key == "rho" and entry[key] == "tune")
+    }
+    return StrategySpec(name=name, kind=kind, **params)
 
 
 def _number(value, where: str, integer: bool = False) -> float | int:
-    """A config value as a float, or as an int when integer; anything else is a ConfigError."""
+    """A finite config value as a float, or as an int when integer; else a ConfigError."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = math.nan
-    if math.isnan(number) or (integer and not number.is_integer()):
-        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if not math.isfinite(number) or (integer and not number.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
     return int(number) if integer else number
 
 
@@ -181,7 +156,7 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
                 date_range=tuple(rng) if rng else None,
             )
         )
-    strategies = [_parse_strategy(s) for s in raw.get("strategies", [])]
+    strategies = tuple(_parse_strategy(s) for s in raw.get("strategies", []))
 
     grid_raw = raw.get("grid", {})
     _reject_unknown_keys(grid_raw, GRID_KEYS, "grid")
@@ -198,40 +173,42 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
         )
     except ValueError as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
+    window_length = _number(raw.get("window_length", 120), "window_length", integer=True)
     out_raw = Path(raw.get("out", "out"))
-    values = dict(
-        datasets=tuple(datasets),
-        strategies=tuple(strategies),
-        window_length=_number(raw.get("window_length", 120), "window_length", integer=True),
-        grid=grid,
-        out_dir=out_raw if out_raw.is_absolute() else path.parent / out_raw,
-        turnover_convention=str(raw.get("turnover", "drift")),
-        solver=solver,
-    )
+    out_dir = out_raw if out_raw.is_absolute() else path.parent / out_raw
+    turnover_convention = str(raw.get("turnover", "drift"))
 
     if overrides is not None:
         if getattr(overrides, "out", None):
-            values["out_dir"] = Path(overrides.out)
+            out_dir = Path(overrides.out)
         if getattr(overrides, "window", None):
-            values["window_length"] = overrides.window
+            window_length = overrides.window
         if getattr(overrides, "turnover", None):
-            values["turnover_convention"] = overrides.turnover
+            turnover_convention = overrides.turnover
         if getattr(overrides, "grid", None):
             parts = overrides.grid.split(":")
             if len(parts) != 3:
                 raise ConfigError(f"--grid expects START:STOP:STEP, got {overrides.grid!r}")
-            values["grid"] = tuple(_number(x, "--grid") for x in parts)
+            grid = tuple(_number(x, "--grid") for x in parts)
         if getattr(overrides, "strategies", None):
             wanted = [s.strip() for s in overrides.strategies.split(",") if s.strip()]
-            by_name = {s.name: s for s in values["strategies"]}
-            values["strategies"] = tuple(
-                by_name[w] if w in by_name else _parse_strategy(w) for w in wanted
-            )
-    if not values["datasets"]:
+            by_name = {s.name: s for s in strategies}
+            strategies = tuple(by_name[w] if w in by_name else _parse_strategy(w) for w in wanted)
+    if not datasets:
         raise ConfigError("config lists no datasets")
-    if not values["strategies"]:
-        raise ConfigError("config lists no strategies")
-    return RunConfig(**values)
+    rolling = RollingConfig(
+        strategies=strategies,
+        window_length=window_length,
+        tuning_grid=_grid_values(*grid),
+        solver=solver,
+    )
+    return RunConfig(
+        datasets=tuple(datasets),
+        rolling=rolling,
+        grid=grid,
+        out_dir=out_dir,
+        turnover_convention=turnover_convention,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -300,19 +277,24 @@ def _write_curve(out_dir: Path, dataset: str, strategy: str, curve) -> None:
 # Subcommands
 # --------------------------------------------------------------------------
 
-def _with_dataset_context(ds: DatasetConfig, exc: PrecisError):
-    raise PrecisError(f"dataset {ds.name!r}: {type(exc).__name__}: {exc}") from exc
+def _each_dataset(config: RunConfig, compute) -> list:
+    """[(ds, compute(ds, panel))] over the datasets, all computed before any file is written.
+
+    A PrecisError is raised again with the dataset's name in front, so one
+    failing dataset stops the run before it writes anything.
+    """
+    results = []
+    for ds in config.datasets:
+        try:
+            results.append((ds, compute(ds, _load_panel(ds))))
+        except PrecisError as exc:
+            raise PrecisError(f"dataset {ds.name!r}: {type(exc).__name__}: {exc}") from exc
+    return results
 
 
 def cmd_describe(config: RunConfig) -> int:
-    def one(ds: DatasetConfig):
-        try:
-            panel = _load_panel(ds)
-            return ds, panel, describe(panel)
-        except PrecisError as exc:
-            _with_dataset_context(ds, exc)
-
-    for ds, panel, stats in [one(ds) for ds in config.datasets]:
+    results = _each_dataset(config, lambda ds, panel: (panel, describe(panel)))
+    for ds, (panel, stats) in results:
         base = config.out_dir / "describe"
         atomic_write(base / f"{ds.name}.json", stats.to_json() + "\n")
         rows = [
@@ -329,25 +311,25 @@ def cmd_describe(config: RunConfig) -> int:
 
 
 def cmd_tune(config: RunConfig) -> int:
-    penalized = [s for s in config.strategies if s.penalized]
+    rolling = config.rolling
+    penalized = [s for s in rolling.strategies if s.penalized]
     if not penalized:
         raise ConfigError("no penalized strategies configured; nothing to tune")
-    grid = config.grid_values()
+    t_len = rolling.window_length
 
-    def one(ds: DatasetConfig):
-        try:
-            panel = _load_panel(ds)
-            if panel.n < config.window_length:  # backtest rejects such a panel too
-                raise InsufficientDataError(
-                    f"panel has {panel.n} rows; the tuning window needs {config.window_length}"
-                )
-        except PrecisError as exc:
-            _with_dataset_context(ds, exc)
-        block = panel.returns[: config.window_length]
-        return ds, [(spec, *tune_strategy(block, spec, grid, config.solver)) for spec in penalized]
+    def tune(ds: DatasetConfig, panel: ReturnsPanel):
+        if panel.n < t_len:  # backtest rejects such a panel too
+            raise InsufficientDataError(
+                f"panel has {panel.n} rows; the tuning window needs {t_len}"
+            )
+        block = panel.returns[:t_len]
+        return [
+            (spec, *tune_strategy(block, spec, rolling.tuning_grid, rolling.solver))
+            for spec in penalized
+        ]
 
     summary: dict[str, dict[str, float | None]] = {}
-    for ds, results in [one(ds) for ds in config.datasets]:
+    for ds, results in _each_dataset(config, tune):
         summary[ds.name] = {}
         for spec, rho_star, curve, failure in results:
             # a failed tuning is report content: a null rho*, exit code 0
@@ -415,28 +397,22 @@ def cmd_diagnose(config: RunConfig) -> int:
 
 
 def cmd_backtest(config: RunConfig) -> int:
-    rolling = config.rolling()
-
-    def one(ds: DatasetConfig):
-        try:
-            panel = _load_panel(ds)
-            runs = run_rolling(panel, rolling)
-        except PrecisError as exc:
-            _with_dataset_context(ds, exc)
+    def backtest(ds: DatasetConfig, panel: ReturnsPanel):
+        runs = run_rolling(panel, config.rolling)
         report = build_report(
             runs,
             panel,
-            rolling,
+            config.rolling,
             dataset=ds.name,
             turnover_convention=config.turnover_convention,
         )
         curves = {
             name: run.tuning_curve for name, run in runs.items() if run.tuning_curve is not None
         }
-        return ds, report, curves
+        return report, curves
 
     reports = []
-    for ds, report, curves in [one(ds) for ds in config.datasets]:
+    for ds, (report, curves) in _each_dataset(config, backtest):
         reports.append(report)
         for strategy_name, curve in curves.items():
             _write_curve(config.out_dir, ds.name, strategy_name, curve)
@@ -446,7 +422,7 @@ def cmd_backtest(config: RunConfig) -> int:
 
     payload = {
         "config": {
-            "window_length": config.window_length,
+            "window_length": config.rolling.window_length,
             "turnover_convention": config.turnover_convention,
             "grid": list(config.grid),
             "datasets": [ds.name for ds in config.datasets],

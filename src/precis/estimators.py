@@ -70,8 +70,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {self.kind!r}")
-        if self.rho < 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
@@ -99,8 +99,8 @@ class SolverOptions:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter at least 1")
+        if not 0 < self.tol < math.inf or self.max_iter < 1:
+            raise ValueError("tol must be finite and positive and max_iter at least 1")
 
 
 @dataclass(frozen=True)

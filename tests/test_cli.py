@@ -222,6 +222,22 @@ def test_panel_shorter_than_window_fails_tune_like_backtest(workspace):
     assert not (root / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["describe", "tune", "backtest"])
+def test_failing_later_dataset_writes_nothing(workspace, capsys, command):
+    # every dataset is computed before any file is written, so an error in
+    # the second dataset leaves no output from the first
+    root, config = workspace
+    lines = (root / "wide.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[3] = "abc"
+    lines[5] = ",".join(cells)
+    (root / "wide.csv").write_text("\n".join(lines) + "\n")
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: dataset 'wide': ParseError"), err
+    assert not (root / "out").exists()
+
+
 def test_tune_and_backtest_write_identical_curves(workspace):
     root, config = workspace
     raw = yaml.safe_load(config.read_text())
@@ -260,7 +276,7 @@ def test_pca_threshold_parses_into_spec(workspace):
     raw = yaml.safe_load(config.read_text())
     raw["strategies"] = [{"name": "PCA-MVP", "pca_threshold": 0.9}]
     config.write_text(yaml.safe_dump(raw))
-    (spec,) = load_config(config).strategies
+    (spec,) = load_config(config).rolling.strategies
     assert spec.kind == "pca" and spec.pca_threshold == 0.9
 
 
@@ -329,6 +345,8 @@ def test_unknown_config_key_fails(workspace, change, key):
         (lambda raw: raw["solver"].update(max_iter=1.5), "max_iter"),
         (lambda raw: raw["solver"].update(tol=float("nan")), "tol"),
         (lambda raw: raw.update(grid=5), "grid"),
+        (lambda raw: raw["grid"].update(stop=float("inf")), "stop"),
+        (lambda raw: raw["solver"].update(tol=float("inf")), "tol"),
     ],
     ids=[
         "name-not-a-string",
@@ -338,6 +356,8 @@ def test_unknown_config_key_fails(workspace, change, key):
         "max_iter-fraction",
         "tol-nan",
         "grid-not-a-mapping",
+        "grid-stop-inf",
+        "tol-inf",
     ],
 )
 def test_malformed_config_value_is_a_config_error(workspace, capsys, change, key):

@@ -43,6 +43,18 @@ class TestPenaltySpec:
             PenaltySpec("l1", -0.1)
         with pytest.raises(ValueError):
             PenaltySpec("elastic", 1.0, alpha=1.5)
+        for rho in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rho"):
+                PenaltySpec("l1", rho)
+
+
+class TestSolverOptions:
+    def test_validation(self):
+        for tol in (0.0, -1e-6, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol"):
+                SolverOptions(tol=tol)
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverOptions(max_iter=0)
 
 
 class TestSamplePrecision:
