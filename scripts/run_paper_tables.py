@@ -3,7 +3,9 @@
 
 Requires the pre-trimmed monthly return CSVs under data/ (see README).
 Produces descriptive statistics, tuned penalty curves, and the complete
-backtest report under out/paper.
+backtest report under out/paper. The backtest tunes rho itself and writes
+the curves and each tuned rho into its report, so the script does not run
+`precis tune` and writes no tune.json.
 """
 import sys
 from pathlib import Path
@@ -27,7 +29,7 @@ def run():
             file=sys.stderr,
         )
         return 1
-    for command in ("describe", "tune", "backtest"):
+    for command in ("describe", "backtest"):
         print(f"\n=== precis {command} ===")
         code = main([command, "--config", str(CONFIG)])
         if code != 0:

@@ -19,7 +19,6 @@ from .errors import (
     ConfigError,
     InsufficientDataError,
     PrecisError,
-    TuningError,
     UndefinedMetricError,
 )
 from .estimators import (
@@ -60,7 +59,20 @@ STRATEGY_PARAMS = {
     "pca": ("pca_threshold",),
 }
 
-DEFAULT_RHO_GRID = tuple(round(0.1 * k, 1) for k in range(31))  # 0.0 .. 3.0 step 0.1
+DEFAULT_GRID = (0.0, 3.0, 0.1)  # the paper's rho grid as (start, stop, step)
+
+
+def grid_values(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """The rho values start, start + step, ... up to stop, inclusive."""
+    if step <= 0:
+        raise ConfigError(f"grid step must be positive, got {step}")
+    if stop < start:
+        raise ConfigError(f"grid stop {stop} below start {start}")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return tuple(round(start + k * step, 10) for k in range(count))
+
+
+DEFAULT_RHO_GRID = grid_values(*DEFAULT_GRID)
 
 
 @dataclass(frozen=True)
@@ -215,25 +227,36 @@ def _window_weights(
     )
 
 
-def tune_strategy(
-    block: np.ndarray, spec: StrategySpec, grid, solver: SolverOptions
-) -> tuple[float | None, list[tuple[float, float]] | None, str | None]:
-    """Tune a penalized strategy's rho on one in-sample block.
+def tune_strategies(
+    panel: ReturnsPanel, config: RollingConfig, specs: list[StrategySpec]
+) -> list[tuple[float | None, list[tuple[float, float]] | None, str | None]]:
+    """(rho, curve, failure) per penalized spec, tuned on the panel's first window.
 
-    Returns (rho, curve, failure). Any estimator-level error becomes
-    (None, curve, "ErrorType: message") instead of propagating; the curve
-    is the partial one a TuningError carries, or None. `precis tune` and
-    `precis backtest` both tune through here, so they agree on what counts
-    as a failed strategy.
+    An estimator-level error becomes (None, curve, "ErrorType: message"),
+    with the partial curve a TuningError carries, or None. The panel must
+    be sanitized and longer than the window, with or without specs, so
+    `precis tune` and `precis backtest` accept the same panels and agree on
+    what counts as a failed strategy.
     """
-    try:
-        rho, curve = tune_rho(block, spec.penalty_kind, grid, alpha=spec.alpha, opts=solver)
-    except PrecisError as exc:
-        failure = f"{type(exc).__name__}: {exc}"
-        logger.warning("strategy %s: tuning failed (%s)", spec.name, failure)
-        curve = exc.curve if isinstance(exc, TuningError) else None
-        return None, curve or None, failure
-    return rho, curve, None
+    t_len = config.window_length
+    if not panel.is_sanitized:
+        raise InsufficientDataError("panel has missing cells; forward_fill first")
+    if panel.n <= t_len:
+        raise InsufficientDataError(f"panel has {panel.n} rows; need more than window length {t_len}")
+    block = panel.returns[:t_len]
+    results = []
+    for spec in specs:
+        try:
+            rho, curve = tune_rho(
+                block, spec.penalty_kind, config.tuning_grid, alpha=spec.alpha, opts=config.solver
+            )
+        except PrecisError as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+            logger.warning("strategy %s: tuning failed (%s)", spec.name, failure)
+            results.append((None, getattr(exc, "curve", None) or None, failure))
+            continue
+        results.append((rho, curve, None))
+    return results
 
 
 def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, StrategyRun]:
@@ -241,21 +264,19 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
 
     Window t (t = T .. n-1) estimates on rows [t-T, t) and realizes the
     weighted return of row t, so no estimate ever sees its evaluation month.
-    Penalized strategies with rho=None are tuned once on the first T rows
-    (the first estimation window) and the tuned value is held fixed for
-    every window. When tuning fails, every window of that strategy records
-    the tuning failure and the strategy is unavailable; the other
-    strategies still run. Then one pass over the windows fits every
-    strategy on each, sharing one sample covariance and one spectrum per
-    window. The no-short QP starts from the previous window's weights, or
-    cold after a failed window; its optimum does not depend on the start.
+    Penalized strategies with rho=None are tuned once by tune_strategies on
+    the first T rows (the first estimation window) and the tuned value is
+    held fixed for every window. When tuning fails, every window of that
+    strategy records the tuning failure and the strategy is unavailable;
+    the other strategies still run. Then one pass over the windows fits
+    every strategy on each, sharing one sample covariance and one spectrum
+    per window. The no-short QP starts from the previous window's weights,
+    or cold after a failed window; its optimum does not depend on the start.
     """
-    if not panel.is_sanitized:
-        raise InsufficientDataError("panel has missing cells; forward_fill first")
+    to_tune = [spec for spec in config.strategies if spec.penalized and spec.rho is None]
+    tuned = dict(zip(to_tune, tune_strategies(panel, config, to_tune)))  # checks the panel too
     t_len = config.window_length
     n = panel.n
-    if n <= t_len:
-        raise InsufficientDataError(f"panel has {n} rows; need more than window length {t_len}")
     n_windows = n - t_len
 
     runs: dict[str, StrategyRun] = {}
@@ -263,10 +284,8 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
     for spec in config.strategies:
         run = runs[spec.name] = StrategyRun(spec=spec, n_windows=n_windows)
         rho = spec.rho
-        if spec.penalized and rho is None:
-            rho, run.tuning_curve, failure = tune_strategy(
-                panel.returns[:t_len], spec, config.tuning_grid, config.solver
-            )
+        if spec in tuned:
+            rho, run.tuning_curve, failure = tuned[spec]
             if failure is not None:
                 run.failures.extend((t, failure) for t in range(t_len, n))
                 continue

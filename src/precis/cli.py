@@ -1,7 +1,8 @@
 """Batch front end: describe datasets, tune penalties, run backtests.
 
-Runs are driven by a single YAML config file; command-line flags override
-file values. All output files are written atomically (temp file + rename)
+Runs are driven by a single YAML config file, the one source of a run's
+settings; only the output directory can also be given as --out. All
+output files are written atomically (temp file + rename)
 so an interrupted run never corrupts earlier reports. Estimator-level
 failures are report content, not process failures: the exit code is
 nonzero only for configuration and I/O problems.
@@ -22,6 +23,7 @@ import numpy as np
 import yaml
 
 from .backtest import (
+    DEFAULT_GRID,
     PAPER_LABELS,
     STRATEGY_KINDS,
     STRATEGY_PARAMS,
@@ -29,10 +31,11 @@ from .backtest import (
     RollingConfig,
     StrategySpec,
     build_report,
+    grid_values,
     run_rolling,
-    tune_strategy,
+    tune_strategies,
 )
-from .errors import ConfigError, InsufficientDataError, PrecisError
+from .errors import ConfigError, PrecisError
 from .estimators import SolverOptions
 from .hedge import ols_hedge
 from .panel import ReturnsPanel, describe, forward_fill, parse_panel
@@ -70,15 +73,6 @@ class RunConfig:
         for ds in self.datasets:
             if not ds.path.exists():
                 raise ConfigError(f"dataset {ds.name!r}: no such file {ds.path}")
-
-
-def _grid_values(start: float, stop: float, step: float) -> tuple[float, ...]:
-    if step <= 0:
-        raise ConfigError(f"grid step must be positive, got {step}")
-    if stop < start:
-        raise ConfigError(f"grid stop {stop} below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(round(start + k * step, 10) for k in range(count))
 
 
 def _parse_strategy(entry) -> StrategySpec:
@@ -125,11 +119,34 @@ def _reject_unknown_keys(entry: dict, known: tuple[str, ...], where: str) -> Non
         raise ConfigError(f"unknown {where} keys {unknown}; known: {list(known)}")
 
 
-def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunConfig:
-    """Read the YAML run config; apply CLI flag overrides on top.
+def _typed(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} must be a {kind.__name__}, got {value!r}")
+    return value
 
-    Unknown keys at the top level and in the dataset, grid and solver
-    mappings are a ConfigError, so a misspelt or retired key fails loudly.
+
+def _parse_dataset(entry, config_dir: Path) -> DatasetConfig:
+    if not isinstance(entry, dict) or "name" not in entry or "path" not in entry:
+        raise ConfigError(f"each dataset needs name and path: {entry!r}")
+    name = _typed(entry["name"], str, "dataset name")
+    _reject_unknown_keys(entry, DATASET_KEYS, f"dataset {name!r}")
+    rng = entry.get("date_range")
+    if rng is not None and not (isinstance(rng, list) and len(rng) == 2):
+        raise ConfigError(f"dataset {name!r} date_range must be a [start, end] pair, got {rng!r}")
+    return DatasetConfig(
+        name=name,
+        path=(config_dir / _typed(entry["path"], str, f"dataset {name!r} path")).resolve(),
+        date_range=None if rng is None else tuple(rng),
+    )
+
+
+def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunConfig:
+    """Read the YAML run config; overrides.out, when set, replaces its out.
+
+    A setting the file leaves out takes the default of the dataclass that
+    holds it. Unknown keys at the top level and in the dataset, grid and
+    solver mappings are a ConfigError, so a misspelt or retired key fails
+    loudly.
     """
     try:
         raw = yaml.safe_load(path.read_text())
@@ -141,73 +158,46 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
         raise ConfigError(f"config {path} must be a mapping at the top level")
     _reject_unknown_keys(raw, TOP_LEVEL_KEYS, "top-level")
 
-    datasets = []
-    for ds in raw.get("datasets", []):
-        if not isinstance(ds, dict) or "name" not in ds or "path" not in ds:
-            raise ConfigError(f"each dataset needs name and path: {ds!r}")
-        _reject_unknown_keys(ds, DATASET_KEYS, f"dataset {ds['name']!r}")
-        rng = ds.get("date_range")
-        datasets.append(
-            DatasetConfig(
-                name=str(ds["name"]),
-                path=(path.parent / ds["path"]).resolve()
-                if not Path(ds["path"]).is_absolute()
-                else Path(ds["path"]),
-                date_range=tuple(rng) if rng else None,
-            )
-        )
-    strategies = tuple(_parse_strategy(s) for s in raw.get("strategies", []))
+    entries = _typed(raw.get("datasets", []), list, "datasets")
+    datasets = tuple(_parse_dataset(ds, path.parent) for ds in entries)
+    if not datasets:
+        raise ConfigError("config lists no datasets")
+    names = [ds.name for ds in datasets]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"duplicate dataset names in {names}")
+    entries = _typed(raw.get("strategies", []), list, "strategies")
+    strategies = tuple(_parse_strategy(s) for s in entries)
 
     grid_raw = raw.get("grid", {})
     _reject_unknown_keys(grid_raw, GRID_KEYS, "grid")
     grid = tuple(
         _number(grid_raw.get(key, default), f"grid {key}")
-        for key, default in zip(GRID_KEYS, (0.0, 3.0, 0.1))
+        for key, default in zip(GRID_KEYS, DEFAULT_GRID)
     )
     solver_raw = raw.get("solver", {})
     _reject_unknown_keys(solver_raw, SOLVER_KEYS, "solver")
+    solver_args = {
+        key: _number(value, f"solver {key}", integer=key == "max_iter")
+        for key, value in solver_raw.items()
+    }
     try:
-        solver = SolverOptions(
-            tol=_number(solver_raw.get("tol", 1e-6), "solver tol"),
-            max_iter=_number(solver_raw.get("max_iter", 10000), "solver max_iter", integer=True),
-        )
+        solver = SolverOptions(**solver_args)
     except ValueError as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
-    window_length = _number(raw.get("window_length", 120), "window_length", integer=True)
-    out_raw = Path(raw.get("out", "out"))
-    out_dir = out_raw if out_raw.is_absolute() else path.parent / out_raw
-    turnover_convention = str(raw.get("turnover", "drift"))
-
-    if overrides is not None:
-        if getattr(overrides, "out", None):
-            out_dir = Path(overrides.out)
-        if getattr(overrides, "window", None):
-            window_length = overrides.window
-        if getattr(overrides, "turnover", None):
-            turnover_convention = overrides.turnover
-        if getattr(overrides, "grid", None):
-            parts = overrides.grid.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"--grid expects START:STOP:STEP, got {overrides.grid!r}")
-            grid = tuple(_number(x, "--grid") for x in parts)
-        if getattr(overrides, "strategies", None):
-            wanted = [s.strip() for s in overrides.strategies.split(",") if s.strip()]
-            by_name = {s.name: s for s in strategies}
-            strategies = tuple(by_name[w] if w in by_name else _parse_strategy(w) for w in wanted)
-    if not datasets:
-        raise ConfigError("config lists no datasets")
-    rolling = RollingConfig(
-        strategies=strategies,
-        window_length=window_length,
-        tuning_grid=_grid_values(*grid),
-        solver=solver,
-    )
+    window = {}
+    if "window_length" in raw:
+        window["window_length"] = _number(raw["window_length"], "window_length", integer=True)
+    out_dir = path.parent / _typed(raw.get("out", "out"), str, "out")
+    if overrides is not None and overrides.out is not None:
+        out_dir = Path(overrides.out)
     return RunConfig(
-        datasets=tuple(datasets),
-        rolling=rolling,
+        datasets=datasets,
+        rolling=RollingConfig(
+            strategies=strategies, tuning_grid=grid_values(*grid), solver=solver, **window
+        ),
         grid=grid,
         out_dir=out_dir,
-        turnover_convention=turnover_convention,
+        turnover_convention=str(raw.get("turnover", "drift")),
     )
 
 
@@ -311,27 +301,16 @@ def cmd_describe(config: RunConfig) -> int:
 
 
 def cmd_tune(config: RunConfig) -> int:
-    rolling = config.rolling
-    penalized = [s for s in rolling.strategies if s.penalized]
+    penalized = [s for s in config.rolling.strategies if s.penalized]
     if not penalized:
         raise ConfigError("no penalized strategies configured; nothing to tune")
-    t_len = rolling.window_length
-
-    def tune(ds: DatasetConfig, panel: ReturnsPanel):
-        if panel.n < t_len:  # backtest rejects such a panel too
-            raise InsufficientDataError(
-                f"panel has {panel.n} rows; the tuning window needs {t_len}"
-            )
-        block = panel.returns[:t_len]
-        return [
-            (spec, *tune_strategy(block, spec, rolling.tuning_grid, rolling.solver))
-            for spec in penalized
-        ]
-
+    results = _each_dataset(
+        config, lambda ds, panel: tune_strategies(panel, config.rolling, penalized)
+    )
     summary: dict[str, dict[str, float | None]] = {}
-    for ds, results in _each_dataset(config, tune):
+    for ds, tuned in results:
         summary[ds.name] = {}
-        for spec, rho_star, curve, failure in results:
+        for spec, (rho_star, curve, failure) in zip(penalized, tuned):
             # a failed tuning is report content: a null rho*, exit code 0
             summary[ds.name][spec.name] = rho_star
             if curve is not None:
@@ -453,10 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, type=Path, help="YAML run config")
         cmd.add_argument("--out", type=Path, help="output directory (overrides config)")
-        cmd.add_argument("--window", type=int, help="estimation window length")
-        cmd.add_argument("--turnover", choices=("drift", "literal"))
-        cmd.add_argument("--grid", help="rho grid as START:STOP:STEP")
-        cmd.add_argument("--strategies", help="comma-separated strategy names")
     return parser
 
 

@@ -69,7 +69,8 @@ def ols_hedge(window: np.ndarray, i: int) -> HedgeRegression:
     y, x = _split_design(window, i)
     n, k = x.shape
     design = np.column_stack([np.ones(n), x])
-    rank = np.linalg.matrix_rank(design)
+    # lstsq's rank counts singular values above eps * max(n, k + 1) * s_max
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < k + 1:
         # QR with pivoting: columns pivoted past the numerical rank are the
         # ones expressible in terms of the others.
@@ -81,7 +82,6 @@ def ols_hedge(window: np.ndarray, i: int) -> HedgeRegression:
             f"design for asset {i} is rank deficient; dependent columns {names}",
             dependent_columns=names,
         )
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     rss = float(resid @ resid)
     tss = float(np.sum((y - y.mean()) ** 2))

@@ -80,12 +80,13 @@ def test_tune_curve_covers_grid(tmp_path, rng):
             {
                 "window_length": 24,
                 "out": "out",
+                "grid": {"start": 0.0, "stop": 3.0, "step": 0.1},
                 "datasets": [{"name": "toy", "path": "toy.csv"}],
                 "strategies": [{"name": "Ridge-MVP", "kind": "qml_l2", "rho": "tune"}],
             }
         )
     )
-    assert main(["tune", "--config", str(config), "--grid", "0:3:0.1"]) == 0
+    assert main(["tune", "--config", str(config)]) == 0
     curve = (tmp_path / "out" / "curves" / "toy_Ridge-MVP.csv").read_text().strip().splitlines()
     assert curve[0] == "rho,score"
     assert len(curve) == 1 + 31  # header plus the 0..3 step-0.1 grid
@@ -99,9 +100,10 @@ def test_tune_total_failure_is_content_not_crash(workspace):
     root, config = workspace
     raw = yaml.safe_load(config.read_text())
     raw["solver"] = {"max_iter": 5}
+    raw["grid"] = {"start": 0.0, "stop": 0.5, "step": 0.5}
     raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "wide"]
     config.write_text(yaml.safe_dump(raw))
-    assert main(["tune", "--config", str(config), "--grid", "0:0.5:0.5"]) == 0
+    assert main(["tune", "--config", str(config)]) == 0
     summary = json.loads((root / "out" / "tune.json").read_text())
     assert summary["wide"]["Ridge-MVP"] is None
 
@@ -148,16 +150,27 @@ def test_no_temp_files_left_behind(workspace):
     assert leftovers == []
 
 
-def test_flag_overrides_window(workspace, capsys):
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--window", "30"), ("--turnover", "literal"), ("--grid", "0:1:0.5"), ("--strategies", "EW-MVP")],
+    ids=["--window", "--turnover", "--grid", "--strategies"],
+)
+def test_removed_flag_is_a_usage_error(workspace, capsys, flag, value):
+    # the config file is the one source of these settings
     root, config = workspace
-    assert main(["backtest", "--config", str(config), "--window", "30", "--strategies", "EW-MVP"]) == 0
-    out = capsys.readouterr().out
-    assert "toy EW-MVP: 10/10 windows (ok)" in out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["backtest", "--config", str(config), flag, value])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (root / "out").exists()
 
 
 def test_unknown_strategy_label_fails(workspace):
     root, config = workspace
-    assert main(["describe", "--config", str(config), "--strategies", "Nope-MVP"]) == 1
+    raw = yaml.safe_load(config.read_text())
+    raw["strategies"] = ["Nope-MVP"]
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["describe", "--config", str(config)]) == 1
 
 
 def test_unknown_solver_key_fails(workspace):
@@ -215,10 +228,19 @@ def test_tuning_failure_is_content_for_tune_and_backtest(workspace):
     assert summary == {"toy": {"Glasso-MVP": None}}
 
 
-def test_panel_shorter_than_window_fails_tune_like_backtest(workspace):
+@pytest.mark.parametrize("window", [40, 41], ids=["window-equals-rows", "window-exceeds-rows"])
+def test_panel_shorter_than_window_fails_tune_like_backtest(workspace, capsys, window):
+    # both commands need a panel longer than the window (the toy panel has 40 rows)
     root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["window_length"] = window
+    raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
+    raw["strategies"] = ["EW-MVP", {"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"}]
+    config.write_text(yaml.safe_dump(raw))
     for command in ("tune", "backtest"):
-        assert main([command, "--config", str(config), "--window", "41"]) == 1
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "InsufficientDataError" in err[0], err
     assert not (root / "out").exists()
 
 
@@ -347,6 +369,14 @@ def test_unknown_config_key_fails(workspace, change, key):
         (lambda raw: raw.update(grid=5), "grid"),
         (lambda raw: raw["grid"].update(stop=float("inf")), "stop"),
         (lambda raw: raw["solver"].update(tol=float("inf")), "tol"),
+        (lambda raw: raw.update(datasets=5), "datasets"),
+        (lambda raw: raw.update(strategies=5), "strategies"),
+        (lambda raw: raw.update(out=5), "out"),
+        (lambda raw: raw["datasets"][0].update(name=5), "name"),
+        (lambda raw: raw["datasets"][0].update(path=5), "path"),
+        (lambda raw: raw["datasets"][0].update(date_range="1990-01"), "date_range"),
+        (lambda raw: raw["datasets"][0].update(date_range=[199001]), "date_range"),
+        (lambda raw: raw["datasets"][1].update(name="toy"), "duplicate dataset names"),
     ],
     ids=[
         "name-not-a-string",
@@ -358,6 +388,14 @@ def test_unknown_config_key_fails(workspace, change, key):
         "grid-not-a-mapping",
         "grid-stop-inf",
         "tol-inf",
+        "datasets-not-a-list",
+        "strategies-not-a-list",
+        "out-not-a-string",
+        "dataset-name-not-a-string",
+        "dataset-path-not-a-string",
+        "date_range-a-string",
+        "date_range-one-item",
+        "duplicate-dataset-names",
     ],
 )
 def test_malformed_config_value_is_a_config_error(workspace, capsys, change, key):
