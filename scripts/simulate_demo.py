@@ -3,14 +3,14 @@
 
 Creates two synthetic monthly-percent-return panels under DEMO_DIR (one
 ordinary, one with more assets than the estimation window so the sample
-estimator fails), then runs the full pipeline and leaves the reports in
-DEMO_DIR/out. No real data required.
+estimator fails), then runs the full pipeline on the committed
+DEMO_DIR/demo.yaml and leaves the reports in DEMO_DIR/out. No real data
+required.
 """
 import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from precis.cli import main
 
@@ -42,32 +42,9 @@ def synth_csv(n, p, seed, rho_common=0.35, scale=4.0, drift=0.6):
 
 
 def run():
-    DEMO_DIR.mkdir(exist_ok=True)
     (DEMO_DIR / "small.csv").write_text(synth_csv(200, 8, seed=1))
     (DEMO_DIR / "crowded.csv").write_text(synth_csv(70, 40, seed=2))
-    config = {
-        "window_length": 36,
-        "turnover": "drift",
-        "out": "out",
-        "grid": {"start": 0.0, "stop": 2.0, "step": 0.25},
-        "solver": {"max_iter": 2000},
-        "datasets": [
-            {"name": "small", "path": "small.csv"},
-            {"name": "crowded", "path": "crowded.csv"},
-        ],
-        "strategies": [
-            "S-MVP",
-            "EW-MVP",
-            "LW-MVP",
-            "PCA-MVP",
-            "JM-MVP",
-            {"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"},
-            {"name": "Ridge-MVP", "kind": "qml_l2", "rho": "tune"},
-            {"name": "EN-MVP", "kind": "qml_elastic", "rho": "tune", "alpha": 0.5},
-        ],
-    }
     config_path = DEMO_DIR / "demo.yaml"
-    config_path.write_text(yaml.safe_dump(config, sort_keys=False))
 
     for command in ("describe", "tune", "backtest"):
         print(f"\n=== precis {command} ===")

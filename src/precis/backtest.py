@@ -60,6 +60,10 @@ STRATEGY_PARAMS = {
 }
 
 DEFAULT_GRID = (0.0, 3.0, 0.1)  # the paper's rho grid as (start, stop, step)
+# Every grid point costs one penalized solve per tuned strategy (the paper's
+# grid has 31), and the grid is expanded when a config loads, so a tiny step
+# would otherwise overflow or build a tuple of astronomical length.
+MAX_GRID_POINTS = 10_000
 
 
 def grid_values(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -68,8 +72,12 @@ def grid_values(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise ConfigError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ConfigError(f"grid stop {stop} below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(round(start + k * step, 10) for k in range(count))
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # an infinite span fails here too
+        raise ConfigError(
+            f"grid step {step} gives more than {MAX_GRID_POINTS} points from {start} to {stop}"
+        )
+    return tuple(round(start + k * step, 10) for k in range(int(math.floor(span)) + 1))
 
 
 DEFAULT_RHO_GRID = grid_values(*DEFAULT_GRID)
@@ -334,19 +342,15 @@ def oos_sharpe(run: StrategyRun) -> float:
     return oos_mean(run) / float(np.sqrt(var))
 
 
-def turnover(run: StrategyRun, panel: ReturnsPanel, convention: str = "drift") -> float:
+def turnover(run: StrategyRun, panel: ReturnsPanel) -> float:
     """Average absolute weight change between consecutive rebalances.
 
-    "literal" compares this month's target weights against last month's
-    target weights. "drift" (default) compares against last month's
-    holdings after they drifted with realized returns,
-    w_i (1 + r_i/100) / (1 + R/100); this is what makes a monthly-rebalanced
-    equal-weight portfolio show small positive turnover. Only pairs of
-    adjacent successful windows are counted; pairs interrupted by a failed
-    window are skipped.
+    This month's target weights are compared against last month's holdings
+    after they drifted with realized returns, w_i (1 + r_i/100) / (1 + R/100);
+    this is what makes a monthly-rebalanced equal-weight portfolio show
+    small positive turnover. Only pairs of adjacent successful windows are
+    counted; pairs interrupted by a failed window are skipped.
     """
-    if convention not in ("drift", "literal"):
-        raise ValueError(f"unknown turnover convention {convention!r}")
     if run.n_success < 2:
         raise InsufficientDataError("need at least 2 weight vectors for turnover")
     total = 0.0
@@ -354,17 +358,12 @@ def turnover(run: StrategyRun, panel: ReturnsPanel, convention: str = "drift") -
     for prev, nxt in zip(run.records, run.records[1:]):
         if nxt.window_id != prev.window_id + 1:
             continue
-        w_prev = prev.weights.weights
-        w_next = nxt.weights.weights
-        if convention == "literal":
-            held = w_prev
-        else:
-            growth = 1.0 + panel.returns[prev.window_id] / 100.0
-            denom = 1.0 + prev.oos_return / 100.0
-            if abs(denom) < 1e-9:
-                continue  # portfolio wiped out; drifted holdings undefined
-            held = w_prev * growth / denom
-        total += float(np.abs(w_next - held).sum())
+        growth = 1.0 + panel.returns[prev.window_id] / 100.0
+        denom = 1.0 + prev.oos_return / 100.0
+        if abs(denom) < 1e-9:
+            continue  # portfolio wiped out; drifted holdings undefined
+        held = prev.weights.weights * growth / denom
+        total += float(np.abs(nxt.weights.weights - held).sum())
         pairs += 1
     if pairs == 0:
         raise InsufficientDataError("no adjacent window pairs available for turnover")
@@ -445,7 +444,6 @@ class StrategyReport:
     oos_variance: float | None = None
     sharpe: float | None = None
     turnover: float | None = None
-    turnover_convention: str | None = None
     cond_mean: float | None = None
     cond_std: float | None = None
     cond_infinite: int | None = None
@@ -467,7 +465,6 @@ class BacktestReport:
     n: int
     p: int
     window_length: int
-    turnover_convention: str
     strategies: tuple[StrategyReport, ...]
 
 
@@ -484,7 +481,6 @@ def build_report(
     panel: ReturnsPanel,
     config: RollingConfig,
     dataset: str = "panel",
-    turnover_convention: str = "drift",
 ) -> BacktestReport:
     """Reduce strategy runs to the per-strategy metric block of the report."""
     reports: list[StrategyReport] = []
@@ -492,7 +488,6 @@ def build_report(
         run = runs[spec.name]
         weights = _defined(weight_distribution, run)
         cond = _defined(condition_stats, run)
-        turn = _defined(turnover, run, panel, turnover_convention)
         flags = [rec.converged for rec in run.records if rec.converged is not None]
         reports.append(
             StrategyReport(
@@ -507,8 +502,7 @@ def build_report(
                 oos_mean=_defined(oos_mean, run),
                 oos_variance=_defined(oos_variance, run),
                 sharpe=_defined(oos_sharpe, run),
-                turnover=turn,
-                turnover_convention=None if turn is None else turnover_convention,
+                turnover=_defined(turnover, run, panel),
                 cond_mean=cond and cond.mean,
                 cond_std=cond and cond.std,
                 cond_infinite=cond and cond.n_infinite,
@@ -527,6 +521,5 @@ def build_report(
         n=panel.n,
         p=panel.p,
         window_length=config.window_length,
-        turnover_convention=turnover_convention,
         strategies=tuple(reports),
     )

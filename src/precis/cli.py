@@ -40,7 +40,7 @@ from .estimators import SolverOptions
 from .hedge import ols_hedge
 from .panel import ReturnsPanel, describe, forward_fill, parse_panel
 
-TOP_LEVEL_KEYS = ("window_length", "turnover", "out", "grid", "solver", "datasets", "strategies")
+TOP_LEVEL_KEYS = ("window_length", "out", "grid", "solver", "datasets", "strategies")
 DATASET_KEYS = ("name", "path", "date_range")
 GRID_KEYS = ("start", "stop", "step")
 SOLVER_KEYS = ("tol", "max_iter")
@@ -55,21 +55,13 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: datasets, the rolling protocol, output knobs.
-
-    grid is the (start, stop, step) triple the tuning grid in rolling was
-    built from, kept for the report.
-    """
+    """Everything a run needs: datasets, the rolling protocol, the output directory."""
 
     datasets: tuple[DatasetConfig, ...]
     rolling: RollingConfig
-    grid: tuple[float, float, float]
     out_dir: Path
-    turnover_convention: str
 
     def __post_init__(self):
-        if self.turnover_convention not in ("drift", "literal"):
-            raise ConfigError(f"unknown turnover convention {self.turnover_convention!r}")
         for ds in self.datasets:
             if not ds.path.exists():
                 raise ConfigError(f"dataset {ds.name!r}: no such file {ds.path}")
@@ -195,9 +187,7 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
         rolling=RollingConfig(
             strategies=strategies, tuning_grid=grid_values(*grid), solver=solver, **window
         ),
-        grid=grid,
         out_dir=out_dir,
-        turnover_convention=str(raw.get("turnover", "drift")),
     )
 
 
@@ -329,7 +319,7 @@ def _report_tables(out_dir: Path, reports: list[BacktestReport]) -> None:
             cond_rows.append(key + [s.cond_mean, s.cond_std, s.cond_infinite, s.n_success])
             var_rows.append(key + [s.oos_variance])
             sharpe_rows.append(key + [s.sharpe])
-            to_rows.append(key + [s.turnover, s.turnover_convention])
+            to_rows.append(key + [s.turnover])
             weight_rows.append(
                 key
                 + [s.weight_min, s.weight_p5, s.weight_p95, s.weight_max, s.weight_neg_fraction]
@@ -343,9 +333,7 @@ def _report_tables(out_dir: Path, reports: list[BacktestReport]) -> None:
     )
     write_csv(tables / "oos_variance.csv", ["dataset", "strategy", "oos_variance"], var_rows)
     write_csv(tables / "oos_sharpe.csv", ["dataset", "strategy", "sharpe"], sharpe_rows)
-    write_csv(
-        tables / "turnover.csv", ["dataset", "strategy", "turnover", "convention"], to_rows
-    )
+    write_csv(tables / "turnover.csv", ["dataset", "strategy", "turnover"], to_rows)
     write_csv(
         tables / "weight_distribution.csv",
         ["dataset", "strategy", "min", "p5", "p95", "max", "neg_fraction"],
@@ -378,13 +366,7 @@ def cmd_diagnose(config: RunConfig) -> int:
 def cmd_backtest(config: RunConfig) -> int:
     def backtest(ds: DatasetConfig, panel: ReturnsPanel):
         runs = run_rolling(panel, config.rolling)
-        report = build_report(
-            runs,
-            panel,
-            config.rolling,
-            dataset=ds.name,
-            turnover_convention=config.turnover_convention,
-        )
+        report = build_report(runs, panel, config.rolling, dataset=ds.name)
         curves = {
             name: run.tuning_curve for name, run in runs.items() if run.tuning_curve is not None
         }
@@ -402,8 +384,7 @@ def cmd_backtest(config: RunConfig) -> int:
     payload = {
         "config": {
             "window_length": config.rolling.window_length,
-            "turnover_convention": config.turnover_convention,
-            "grid": list(config.grid),
+            "grid": list(config.rolling.tuning_grid),
             "datasets": [ds.name for ds in config.datasets],
         },
         "reports": reports,

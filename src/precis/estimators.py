@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,10 @@ class SolverOptions:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf or self.max_iter < 1:
-            raise ValueError("tol must be finite and positive and max_iter at least 1")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

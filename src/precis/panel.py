@@ -126,13 +126,16 @@ def parse_panel(source, date_range=None) -> ReturnsPanel:
     inclusive (start, end) pair of YYYYMM-like specs; rows outside it are
     dropped.
     """
+    if hasattr(source, "read"):
+        source = source.read()
     if isinstance(source, bytes):
-        text = source.decode("utf-8")
+        try:
+            text = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            row = source.count(b"\n", 0, exc.start) + 1
+            raise ParseError("not UTF-8 text", row=row) from None
     elif isinstance(source, str):
         text = source
-    elif hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     else:
         raise ParseError(f"unsupported source type {type(source).__name__}")
 

@@ -261,10 +261,10 @@ def test_criterion_09_paper_table_reproduction():
     cond_mean = condition_stats(runs17["S-MVP"]).mean
     assert abs(cond_mean - 300.60) <= 0.15 * 300.60, f"S cond mean {cond_mean}"
     assert oos_variance(runs17["LW-MVP"]) < oos_variance(runs17["S-MVP"])
-    ew_to = turnover(runs17["EW-MVP"], panel17, "drift")
+    ew_to = turnover(runs17["EW-MVP"], panel17)
     for name in runs17:
         if name != "EW-MVP" and runs17[name].available:
-            assert ew_to < turnover(runs17[name], panel17, "drift")
+            assert ew_to < turnover(runs17[name], panel17)
 
     panel132 = kf_panel("132S")
     config132 = RollingConfig(

@@ -310,20 +310,12 @@ class TestMetrics:
         with pytest.raises(UndefinedMetricError):
             oos_sharpe(constant)
 
-    def test_turnover_literal_zero_for_constant_weights(self, rng):
-        panel = make_panel(synth_returns(30, 4, rng))
-        run = fake_run([[0.25] * 4] * 5, oos=np.zeros(5), start_id=24)
-        assert turnover(run, panel, convention="literal") == 0.0
-
     def test_turnover_drift_positive_for_equal_weights(self, rng):
         returns = synth_returns(30, 4, rng)
         panel = make_panel(returns)
         config = RollingConfig(strategies=(StrategySpec("EW-MVP", "equal"),), window_length=24)
         run = run_rolling(panel, config)["EW-MVP"]
-        drift = turnover(run, panel, convention="drift")
-        literal = turnover(run, panel, convention="literal")
-        assert literal == 0.0
-        assert drift > 0.0
+        assert turnover(run, panel) > 0.0
 
     def test_turnover_drift_hand_oracle(self):
         returns = np.array([[10.0, 0.0], [0.0, 0.0], [5.0, -5.0]])
@@ -333,20 +325,21 @@ class TestMetrics:
         # drifted holdings after month 0: 0.5*(1.10)/1.05, 0.5*(1.00)/1.05
         held = np.array([0.5 * 1.10, 0.5 * 1.00]) / 1.05
         expected = np.abs(np.array([0.6, 0.4]) - held).sum()
-        assert turnover(run, panel, convention="drift") == pytest.approx(expected)
+        assert turnover(run, panel) == pytest.approx(expected)
 
-    def test_turnover_single_asset_zero_both_ways(self):
+    def test_turnover_single_asset_zero(self):
         panel = SimpleNamespace(returns=np.array([[3.0], [1.0], [-2.0]]))
         run = fake_run([[1.0]] * 3, oos=[3.0, 1.0, -2.0])
-        assert turnover(run, panel, convention="literal") == 0.0
-        assert turnover(run, panel, convention="drift") == pytest.approx(0.0, abs=1e-15)
+        assert turnover(run, panel) == pytest.approx(0.0, abs=1e-15)
 
     def test_turnover_skips_gapped_pairs(self, rng):
         panel = make_panel(synth_returns(30, 2, rng))
         run = fake_run([[0.5, 0.5], [0.4, 0.6], [0.3, 0.7]], oos=[0.0, 0.0, 0.0], gaps={1})
-        # ids are 0, 2, 3: only the (2, 3) pair counts
-        expected = abs(0.3 - 0.4) + abs(0.7 - 0.6)
-        assert turnover(run, panel, convention="literal") == pytest.approx(expected)
+        # ids are 0, 2, 3: only the (2, 3) pair counts; window 2's oos is 0,
+        # so its holdings drift by row 2's returns alone
+        held = np.array([0.4, 0.6]) * (1.0 + panel.returns[2] / 100.0)
+        expected = np.abs(np.array([0.3, 0.7]) - held).sum()
+        assert turnover(run, panel) == pytest.approx(expected)
 
     def test_weight_distribution_equal_weights(self):
         run = fake_run([[0.25] * 4] * 3)
@@ -405,10 +398,10 @@ class TestMetrics:
         )
         runs = run_rolling(panel, config)
         assert oos_variance(runs["LW-MVP"]) < oos_variance(runs["S-MVP"])
-        ew_turnover = turnover(runs["EW-MVP"], panel, "drift")
+        ew_turnover = turnover(runs["EW-MVP"], panel)
         for name in runs:
             if name != "EW-MVP":
-                assert ew_turnover < turnover(runs[name], panel, "drift"), name
+                assert ew_turnover < turnover(runs[name], panel), name
 
     def test_shrunk_condition_numbers_dominate_sample(self, rng):
         panel = make_panel(synth_returns(40, 5, rng, rho_common=0.5))

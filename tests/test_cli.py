@@ -20,7 +20,6 @@ def workspace(tmp_path, rng):
     (tmp_path / "wide.csv").write_text(panel_csv(wide))
     config = {
         "window_length": 24,
-        "turnover": "drift",
         "out": "out",
         "grid": {"start": 0.0, "stop": 1.0, "step": 0.5},
         "solver": {"max_iter": 1500},  # bound the solves on the wide, singular windows
@@ -120,6 +119,9 @@ def test_backtest_handles_singular_dataset_gracefully(workspace, capsys):
     assert wide_sample["n_failed"] == 16
     wide_equal = next(s for s in by_ds["wide"]["strategies"] if s["name"] == "EW-MVP")
     assert wide_equal["available"] is True
+    # each setting has one home: the report echoes the tuned grid, no turnover convention
+    assert report["config"]["grid"] == [0.0, 0.5, 1.0]
+    assert "turnover_convention" not in json.dumps(report)
     tables = root / "out" / "tables"
     for name in (
         "condition_numbers",
@@ -132,6 +134,8 @@ def test_backtest_handles_singular_dataset_gracefully(workspace, capsys):
         assert (tables / f"{name}.csv").exists()
     variance_rows = (tables / "oos_variance.csv").read_text().strip().splitlines()
     assert len(variance_rows) == 1 + 2 * 4  # header + strategies x datasets
+    turnover_header = (tables / "turnover.csv").read_text().splitlines()[0]
+    assert turnover_header == "dataset,strategy,turnover"
 
 
 def test_backtest_is_byte_deterministic(workspace):
@@ -260,6 +264,17 @@ def test_failing_later_dataset_writes_nothing(workspace, capsys, command):
     assert not (root / "out").exists()
 
 
+def test_non_utf8_panel_is_a_parse_error(workspace, capsys):
+    root, config = workspace
+    raw = (root / "wide.csv").read_bytes().splitlines(keepends=True)
+    raw[2] = raw[2].replace(b",", b",\xff", 1)
+    (root / "wide.csv").write_bytes(b"".join(raw))
+    assert main(["describe", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: dataset 'wide': ParseError: row 3: not UTF-8 text"], err
+    assert not (root / "out").exists()
+
+
 def test_tune_and_backtest_write_identical_curves(workspace):
     root, config = workspace
     raw = yaml.safe_load(config.read_text())
@@ -343,11 +358,12 @@ def test_bad_strategy_parameter_is_a_config_error(workspace, capsys, strategy, k
     "change, key",
     [
         (lambda raw: raw.update(seed=0), "seed"),
+        (lambda raw: raw.update(turnover="drift"), "turnover"),
         (lambda raw: raw["datasets"][0].update(range=["1990-01", "1991-12"]), "range"),
     ],
-    ids=["top-level", "dataset"],
+    ids=["top-level", "retired-turnover", "dataset"],
 )
-def test_unknown_config_key_fails(workspace, change, key):
+def test_unknown_config_key_fails(workspace, capsys, change, key):
     root, config = workspace
     raw = yaml.safe_load(config.read_text())
     change(raw)
@@ -355,6 +371,9 @@ def test_unknown_config_key_fails(workspace, change, key):
     with pytest.raises(ConfigError, match=key):
         load_config(config)
     assert main(["backtest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert not (root / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -368,6 +387,8 @@ def test_unknown_config_key_fails(workspace, change, key):
         (lambda raw: raw["solver"].update(tol=float("nan")), "tol"),
         (lambda raw: raw.update(grid=5), "grid"),
         (lambda raw: raw["grid"].update(stop=float("inf")), "stop"),
+        (lambda raw: raw["grid"].update(step=1e-320), "step"),
+        (lambda raw: raw["grid"].update(step=1e-300), "step"),
         (lambda raw: raw["solver"].update(tol=float("inf")), "tol"),
         (lambda raw: raw.update(datasets=5), "datasets"),
         (lambda raw: raw.update(strategies=5), "strategies"),
@@ -387,6 +408,8 @@ def test_unknown_config_key_fails(workspace, change, key):
         "tol-nan",
         "grid-not-a-mapping",
         "grid-stop-inf",
+        "grid-step-overflows",
+        "grid-step-too-many-points",
         "tol-inf",
         "datasets-not-a-list",
         "strategies-not-a-list",

@@ -53,8 +53,10 @@ class TestSolverOptions:
         for tol in (0.0, -1e-6, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tol"):
                 SolverOptions(tol=tol)
-        with pytest.raises(ValueError, match="max_iter"):
-            SolverOptions(max_iter=0)
+        for max_iter in (0, 1.5, 10.0):
+            with pytest.raises(ValueError, match="max_iter"):
+                SolverOptions(max_iter=max_iter)
+        assert SolverOptions(max_iter=np.int64(5)).max_iter == 5
 
 
 class TestSamplePrecision:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -75,6 +76,13 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_panel(text)
         assert err.value.row == 3
+
+    def test_non_utf8_bytes_name_row(self):
+        raw = b"date,A,B\n197307,1.0,2.0\n197308,\xff1.0,2.0\n"
+        for source in (raw, io.BytesIO(raw)):
+            with pytest.raises(ParseError, match="not UTF-8") as err:
+                parse_panel(source)
+            assert err.value.row == 3
 
     def test_non_yyyymm_dates_rejected(self):
         text = "date,A,B\n1973-07-31,1.0,2.0\n"
