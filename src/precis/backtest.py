@@ -68,6 +68,8 @@ MAX_GRID_POINTS = 10_000
 
 def grid_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     """The rho values start, start + step, ... up to stop, inclusive."""
+    if start < 0:
+        raise ConfigError(f"grid start must be nonnegative, got {start}")
     if step <= 0:
         raise ConfigError(f"grid step must be positive, got {step}")
     if stop < start:
@@ -134,8 +136,6 @@ class RollingConfig:
     def __post_init__(self):
         if self.window_length < 2:
             raise ConfigError(f"window length must be at least 2, got {self.window_length}")
-        if not self.strategies:
-            raise ConfigError("at least one strategy is required")
         names = [s.name for s in self.strategies]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate strategy names in {names}")

@@ -35,7 +35,7 @@ from .backtest import (
     run_rolling,
     tune_strategies,
 )
-from .errors import ConfigError, PrecisError
+from .errors import ConfigError, MulticollinearityError, PrecisError
 from .estimators import SolverOptions
 from .hedge import ols_hedge
 from .panel import ReturnsPanel, describe, forward_fill, parse_panel
@@ -44,6 +44,19 @@ TOP_LEVEL_KEYS = ("window_length", "out", "grid", "solver", "datasets", "strateg
 DATASET_KEYS = ("name", "path", "date_range")
 GRID_KEYS = ("start", "stop", "step")
 SOLVER_KEYS = ("tol", "max_iter")
+DESCRIBE_COLUMNS = ("asset", "mean", "variance", "sharpe")
+# The backtest's CSV tables: file stem, then (column, StrategyReport field)
+# pairs; every row starts with the dataset and strategy names.
+REPORT_TABLES = (
+    ("condition_numbers", (("cond_mean", "cond_mean"), ("cond_std", "cond_std"),
+                           ("cond_infinite", "cond_infinite"), ("windows", "n_success"))),
+    ("oos_variance", (("oos_variance", "oos_variance"),)),
+    ("oos_sharpe", (("sharpe", "sharpe"),)),
+    ("turnover", (("turnover", "turnover"),)),
+    ("weight_distribution", (("min", "weight_min"), ("p5", "weight_p5"), ("p95", "weight_p95"),
+                             ("max", "weight_max"), ("neg_fraction", "weight_neg_fraction"))),
+    ("sparsity", (("sparsity", "sparsity"),)),
+)
 
 
 @dataclass(frozen=True)
@@ -261,7 +274,7 @@ def _each_dataset(config: RunConfig, compute) -> list:
     """[(ds, compute(ds, panel))] over the datasets, all computed before any file is written.
 
     A PrecisError is raised again with the dataset's name in front, so one
-    failing dataset stops the run before it writes anything.
+    failing dataset stops the run before it writes or prints anything.
     """
     results = []
     for ds in config.datasets:
@@ -275,13 +288,15 @@ def _each_dataset(config: RunConfig, compute) -> list:
 def cmd_describe(config: RunConfig) -> int:
     results = _each_dataset(config, lambda ds, panel: (panel, describe(panel)))
     for ds, (panel, stats) in results:
-        base = config.out_dir / "describe"
-        atomic_write(base / f"{ds.name}.json", stats.to_json() + "\n")
-        rows = [
-            [name, m, v, s]
-            for name, (m, v, s) in zip(stats.assets, stats.per_asset)
+        payload = dataclasses.asdict(stats)
+        payload["per_asset"] = [
+            dict(zip(DESCRIBE_COLUMNS, (name, *values)))
+            for name, values in zip(payload.pop("assets"), stats.per_asset)
         ]
-        write_csv(base / f"{ds.name}.csv", ["asset", "mean", "variance", "sharpe"], rows)
+        base = config.out_dir / "describe"
+        atomic_write(base / f"{ds.name}.json", dump_json(payload))
+        rows = [list(record.values()) for record in payload["per_asset"]]
+        write_csv(base / f"{ds.name}.csv", list(DESCRIBE_COLUMNS), rows)
         print(
             f"{ds.name}: p={stats.p} n={stats.n} p/n={stats.dim_ratio:.2f} "
             f"max_corr={stats.max_corr:.2f} mean_abs_corr={stats.mean_abs_corr:.2f} "
@@ -312,58 +327,45 @@ def cmd_tune(config: RunConfig) -> int:
 
 
 def _report_tables(out_dir: Path, reports: list[BacktestReport]) -> None:
-    cond_rows, var_rows, sharpe_rows, to_rows, weight_rows, sparsity_rows = ([] for _ in range(6))
-    for rep in reports:
-        for s in rep.strategies:
-            key = [rep.dataset, s.name]
-            cond_rows.append(key + [s.cond_mean, s.cond_std, s.cond_infinite, s.n_success])
-            var_rows.append(key + [s.oos_variance])
-            sharpe_rows.append(key + [s.sharpe])
-            to_rows.append(key + [s.turnover])
-            weight_rows.append(
-                key
-                + [s.weight_min, s.weight_p5, s.weight_p95, s.weight_max, s.weight_neg_fraction]
-            )
-            sparsity_rows.append(key + [s.sparsity])
-    tables = out_dir / "tables"
-    write_csv(
-        tables / "condition_numbers.csv",
-        ["dataset", "strategy", "cond_mean", "cond_std", "cond_infinite", "windows"],
-        cond_rows,
-    )
-    write_csv(tables / "oos_variance.csv", ["dataset", "strategy", "oos_variance"], var_rows)
-    write_csv(tables / "oos_sharpe.csv", ["dataset", "strategy", "sharpe"], sharpe_rows)
-    write_csv(tables / "turnover.csv", ["dataset", "strategy", "turnover"], to_rows)
-    write_csv(
-        tables / "weight_distribution.csv",
-        ["dataset", "strategy", "min", "p5", "p95", "max", "neg_fraction"],
-        weight_rows,
-    )
-    write_csv(tables / "sparsity.csv", ["dataset", "strategy", "sparsity"], sparsity_rows)
+    for stem, columns in REPORT_TABLES:
+        write_csv(
+            out_dir / "tables" / f"{stem}.csv",
+            ["dataset", "strategy"] + [column for column, _ in columns],
+            [
+                [rep.dataset, s.name] + [getattr(s, field) for _, field in columns]
+                for rep in reports
+                for s in rep.strategies
+            ],
+        )
 
 
 def cmd_diagnose(config: RunConfig) -> int:
     """Per-asset hedge diagnostics: unhedgeable variance and largest |beta|.
 
-    Estimator-level problems (e.g. more assets than observations) are
+    A rank-deficient design (e.g. more assets than observations) is
     reported per dataset without failing the run.
     """
-    for ds in config.datasets:
+    def diagnose(ds: DatasetConfig, panel: ReturnsPanel) -> list[str]:
         try:
-            panel = _load_panel(ds)
             regressions = [ols_hedge(panel.returns, i) for i in range(panel.p)]
-        except PrecisError as exc:
-            print(f"{ds.name}: {type(exc).__name__}: {exc}")
-            continue
-        print(f"{ds.name} (n={panel.n}, p={panel.p})")
+        except MulticollinearityError as exc:
+            return [f"{ds.name}: {type(exc).__name__}: {exc}"]
+        lines = [f"{ds.name} (n={panel.n}, p={panel.p})"]
         for name, reg in zip(panel.assets, regressions):
             beta_max = float(np.abs(reg.betas).max()) if reg.betas.size else 0.0
             flag = " DEGENERATE" if reg.degenerate else ""
-            print(f"  {name}: v={reg.unhedgeable_variance:.6g} max|beta|={beta_max:.6g}{flag}")
+            lines.append(f"  {name}: v={reg.unhedgeable_variance:.6g} max|beta|={beta_max:.6g}{flag}")
+        return lines
+
+    for _, lines in _each_dataset(config, diagnose):
+        print("\n".join(lines))
     return 0
 
 
 def cmd_backtest(config: RunConfig) -> int:
+    if not config.rolling.strategies:
+        raise ConfigError("no strategies configured; nothing to backtest")
+
     def backtest(ds: DatasetConfig, panel: ReturnsPanel):
         runs = run_rolling(panel, config.rolling)
         report = build_report(runs, panel, config.rolling, dataset=ds.name)
@@ -398,18 +400,21 @@ def cmd_backtest(config: RunConfig) -> int:
 # Entry point
 # --------------------------------------------------------------------------
 
+COMMANDS = {
+    "describe": (cmd_describe, "descriptive statistics per dataset"),
+    "tune": (cmd_tune, "grid-search the penalty intensity per dataset"),
+    "backtest": (cmd_backtest, "rolling-window out-of-sample evaluation"),
+    "diagnose": (cmd_diagnose, "per-asset hedge-regression diagnostics"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="precis",
         description="Precision-matrix estimation and minimum-variance portfolio backtests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("describe", "descriptive statistics per dataset"),
-        ("tune", "grid-search the penalty intensity per dataset"),
-        ("backtest", "rolling-window out-of-sample evaluation"),
-        ("diagnose", "per-asset hedge-regression diagnostics"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, type=Path, help="YAML run config")
         cmd.add_argument("--out", type=Path, help="output directory (overrides config)")
@@ -420,14 +425,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, overrides=args)
-        if args.command == "describe":
-            return cmd_describe(config)
-        if args.command == "tune":
-            return cmd_tune(config)
-        if args.command == "diagnose":
-            return cmd_diagnose(config)
-        return cmd_backtest(config)
+        return COMMANDS[args.command][0](load_config(args.config, overrides=args))
     except (PrecisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

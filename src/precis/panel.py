@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -100,20 +99,6 @@ class DescriptiveStats:
     mean_abs_corr: float
     per_asset: list[tuple[float, float, float]]  # (mean, variance, sharpe)
     assets: list[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        payload = {
-            "p": self.p,
-            "n": self.n,
-            "dim_ratio": self.dim_ratio,
-            "max_corr": self.max_corr,
-            "mean_abs_corr": self.mean_abs_corr,
-            "per_asset": [
-                {"asset": name, "mean": m, "variance": v, "sharpe": s}
-                for name, (m, v, s) in zip(self.assets, self.per_asset)
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def parse_panel(source, date_range=None) -> ReturnsPanel:

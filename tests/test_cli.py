@@ -43,13 +43,29 @@ def test_describe_writes_json_and_csv(workspace, capsys):
     root, config = workspace
     assert main(["describe", "--config", str(config)]) == 0
     payload = json.loads((root / "out" / "describe" / "toy.json").read_text())
+    assert set(payload) == {"p", "n", "dim_ratio", "max_corr", "mean_abs_corr", "per_asset"}
     assert payload["p"] == 4 and payload["n"] == 40
     assert abs(payload["dim_ratio"] - 0.1) < 1e-12
+    assert len(payload["per_asset"]) == 4
+    assert set(payload["per_asset"][0]) == {"asset", "mean", "variance", "sharpe"}
     csv_lines = (root / "out" / "describe" / "toy.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "asset,mean,variance,sharpe"
     assert len(csv_lines) == 5
     out = capsys.readouterr().out
     assert "toy:" in out and "wide:" in out
+
+
+def test_only_backtest_needs_strategies(workspace, capsys):
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    del raw["strategies"]
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["backtest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: no strategies configured; nothing to backtest"], err
+    assert not (root / "out").exists()
+    for command in ("describe", "diagnose"):
+        assert main([command, "--config", str(config)]) == 0
 
 
 def test_describe_without_datasets_fails(tmp_path):
@@ -248,7 +264,7 @@ def test_panel_shorter_than_window_fails_tune_like_backtest(workspace, capsys, w
     assert not (root / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["describe", "tune", "backtest"])
+@pytest.mark.parametrize("command", ["describe", "tune", "backtest", "diagnose"])
 def test_failing_later_dataset_writes_nothing(workspace, capsys, command):
     # every dataset is computed before any file is written, so an error in
     # the second dataset leaves no output from the first
@@ -259,8 +275,10 @@ def test_failing_later_dataset_writes_nothing(workspace, capsys, command):
     lines[5] = ",".join(cells)
     (root / "wide.csv").write_text("\n".join(lines) + "\n")
     assert main([command, "--config", str(config)]) == 1
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: dataset 'wide': ParseError"), err
+    assert captured.out == ""
     assert not (root / "out").exists()
 
 
@@ -389,6 +407,7 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         (lambda raw: raw["grid"].update(stop=float("inf")), "stop"),
         (lambda raw: raw["grid"].update(step=1e-320), "step"),
         (lambda raw: raw["grid"].update(step=1e-300), "step"),
+        (lambda raw: raw["grid"].update(start=-1.0), "start"),
         (lambda raw: raw["solver"].update(tol=float("inf")), "tol"),
         (lambda raw: raw.update(datasets=5), "datasets"),
         (lambda raw: raw.update(strategies=5), "strategies"),
@@ -410,6 +429,7 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         "grid-stop-inf",
         "grid-step-overflows",
         "grid-step-too-many-points",
+        "grid-start-negative",
         "tol-inf",
         "datasets-not-a-list",
         "strategies-not-a-list",

@@ -1,5 +1,4 @@
 import io
-import json
 
 import numpy as np
 import pytest
@@ -180,13 +179,6 @@ class TestDescribe:
         panel = parse_panel(text)
         with pytest.raises(Exception):
             describe(panel)
-
-    def test_json_mirrors_field_names(self, rng):
-        stats = describe(make_panel(synth_returns(24, 3, rng)))
-        payload = json.loads(stats.to_json())
-        assert set(payload) == {"p", "n", "dim_ratio", "max_corr", "mean_abs_corr", "per_asset"}
-        assert len(payload["per_asset"]) == 3
-        assert set(payload["per_asset"][0]) == {"asset", "mean", "variance", "sharpe"}
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
