@@ -1,5 +1,14 @@
 """Precision-matrix estimation and minimum-variance portfolio evaluation."""
 
+import os
+
+# One BLAS thread unless the user set a count: the small LAPACK calls between
+# numpy element-wise steps run several times slower on more. OpenBLAS reads
+# these when numpy loads, so they are set before the first submodule import.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .backtest import (
     PAPER_LABELS,
     BacktestReport,

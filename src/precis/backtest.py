@@ -79,7 +79,10 @@ def grid_values(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise ConfigError(
             f"grid step {step} gives more than {MAX_GRID_POINTS} points from {start} to {stop}"
         )
-    return tuple(round(start + k * step, 10) for k in range(int(math.floor(span)) + 1))
+    values = tuple(round(start + k * step, 10) for k in range(int(math.floor(span)) + 1))
+    if len(set(values)) < len(values):  # points are rounded to 10 decimals
+        raise ConfigError(f"grid step {step} is below the 1e-10 resolution of grid points")
+    return values
 
 
 DEFAULT_RHO_GRID = grid_values(*DEFAULT_GRID)
@@ -238,33 +241,33 @@ def _window_weights(
 def tune_strategies(
     panel: ReturnsPanel, config: RollingConfig, specs: list[StrategySpec]
 ) -> list[tuple[float | None, list[tuple[float, float]] | None, str | None]]:
-    """(rho, curve, failure) per penalized spec, tuned on the panel's first window.
+    """(rho, curve, failure) per penalized spec, tuned together on the panel's first window.
 
-    An estimator-level error becomes (None, curve, "ErrorType: message"),
-    with the partial curve a TuningError carries, or None. The panel must
-    be sanitized and longer than the window, with or without specs, so
-    `precis tune` and `precis backtest` accept the same panels and agree on
-    what counts as a failed strategy.
+    An error from the grid search fails every spec with (None, None,
+    "ErrorType: message"); a spec with no converged grid point keeps its
+    curve with a TuningError failure. The panel must be sanitized and
+    longer than the window, with or without specs, so `precis tune` and
+    `precis backtest` accept the same panels and agree on what counts as a
+    failed strategy.
     """
     t_len = config.window_length
     if not panel.is_sanitized:
         raise InsufficientDataError("panel has missing cells; forward_fill first")
     if panel.n <= t_len:
         raise InsufficientDataError(f"panel has {panel.n} rows; need more than window length {t_len}")
-    block = panel.returns[:t_len]
-    results = []
-    for spec in specs:
-        try:
-            rho, curve = tune_rho(
-                block, spec.penalty_kind, config.tuning_grid, alpha=spec.alpha, opts=config.solver
-            )
-        except PrecisError as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-            logger.warning("strategy %s: tuning failed (%s)", spec.name, failure)
-            results.append((None, getattr(exc, "curve", None) or None, failure))
-            continue
-        results.append((rho, curve, None))
-    return results
+    if not specs:
+        return []
+    penalties = [(spec.penalty_kind, spec.alpha) for spec in specs]
+    try:
+        tuned = tune_rho(panel.returns[:t_len], penalties, config.tuning_grid, config.solver)
+    except PrecisError as exc:  # a bad block or grid fails every spec alike
+        tuned, error = [(None, None)] * len(specs), f"{type(exc).__name__}: {exc}"
+    else:
+        error = "TuningError: every grid point failed to produce a converged estimate"
+    for spec, (rho, _) in zip(specs, tuned):
+        if rho is None:
+            logger.warning("strategy %s: tuning failed (%s)", spec.name, error)
+    return [(rho, curve, None if rho is not None else error) for rho, curve in tuned]
 
 
 def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, StrategyRun]:
@@ -370,27 +373,21 @@ def turnover(run: StrategyRun, panel: ReturnsPanel) -> float:
     return total / pairs
 
 
-@dataclass(frozen=True)
-class WeightSummary:
-    minimum: float
-    p5: float
-    p95: float
-    maximum: float
-    neg_fraction: float
+def weight_distribution(run: StrategyRun) -> dict[str, float]:
+    """Per-window min / 5% / 95% / max / negative share, averaged over windows.
 
-
-def weight_distribution(run: StrategyRun) -> WeightSummary:
-    """Per-window min / 5% / 95% / max / negative share, averaged over windows."""
+    Keyed by the StrategyReport fields they fill.
+    """
     if run.n_success < 1:
         raise InsufficientDataError("no successful windows")
     stack = np.vstack([rec.weights.weights for rec in run.records])
-    return WeightSummary(
-        minimum=float(stack.min(axis=1).mean()),
-        p5=float(np.percentile(stack, 5, axis=1).mean()),
-        p95=float(np.percentile(stack, 95, axis=1).mean()),
-        maximum=float(stack.max(axis=1).mean()),
-        neg_fraction=float((stack < 0).mean(axis=1).mean()),
-    )
+    return {
+        "weight_min": float(stack.min(axis=1).mean()),
+        "weight_p5": float(np.percentile(stack, 5, axis=1).mean()),
+        "weight_p95": float(np.percentile(stack, 95, axis=1).mean()),
+        "weight_max": float(stack.max(axis=1).mean()),
+        "weight_neg_fraction": float((stack < 0).mean(axis=1).mean()),
+    }
 
 
 def sparsity(run: StrategyRun) -> float:
@@ -402,26 +399,22 @@ def sparsity(run: StrategyRun) -> float:
     return float(vals.mean())
 
 
-@dataclass(frozen=True)
-class ConditionStats:
-    mean: float
-    std: float
-    n_finite: int
-    n_infinite: int
+def condition_stats(run: StrategyRun) -> dict[str, float | int]:
+    """Mean / sample std of per-window condition numbers, infinities set aside and counted.
 
-
-def condition_stats(run: StrategyRun) -> ConditionStats:
-    """Mean / sample std of per-window condition numbers, infinities set aside."""
+    Keyed by the StrategyReport fields they fill.
+    """
     vals = np.asarray([rec.cond for rec in run.records])
     vals = vals[~np.isnan(vals)]
     finite = vals[np.isfinite(vals)]
-    n_inf = int(np.sum(np.isinf(vals)))
     if finite.size == 0:
         raise UndefinedMetricError(f"strategy {run.spec.name!r} records no condition numbers")
     std = float(finite.std(ddof=1)) if finite.size >= 2 else float("nan")
-    return ConditionStats(
-        mean=float(finite.mean()), std=std, n_finite=int(finite.size), n_infinite=n_inf
-    )
+    return {
+        "cond_mean": float(finite.mean()),
+        "cond_std": std,
+        "cond_infinite": int(np.sum(np.isinf(vals))),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -486,8 +479,6 @@ def build_report(
     reports: list[StrategyReport] = []
     for spec in config.strategies:
         run = runs[spec.name]
-        weights = _defined(weight_distribution, run)
-        cond = _defined(condition_stats, run)
         flags = [rec.converged for rec in run.records if rec.converged is not None]
         reports.append(
             StrategyReport(
@@ -503,14 +494,8 @@ def build_report(
                 oos_variance=_defined(oos_variance, run),
                 sharpe=_defined(oos_sharpe, run),
                 turnover=_defined(turnover, run, panel),
-                cond_mean=cond and cond.mean,
-                cond_std=cond and cond.std,
-                cond_infinite=cond and cond.n_infinite,
-                weight_min=weights and weights.minimum,
-                weight_p5=weights and weights.p5,
-                weight_p95=weights and weights.p95,
-                weight_max=weights and weights.maximum,
-                weight_neg_fraction=weights and weights.neg_fraction,
+                **(_defined(condition_stats, run) or {}),
+                **(_defined(weight_distribution, run) or {}),
                 sparsity=_defined(sparsity, run),
                 n_converged=int(sum(flags)) if flags else None,
                 failures=tuple(run.failures),

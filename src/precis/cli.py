@@ -87,9 +87,7 @@ def _parse_strategy(entry) -> StrategySpec:
         return StrategySpec(name=entry, kind=PAPER_LABELS[entry])
     if not isinstance(entry, dict):
         raise ConfigError(f"strategy entries must be labels or mappings, got {entry!r}")
-    name = entry.get("name")
-    if not isinstance(name, str):
-        raise ConfigError(f"strategy name must be a string: {entry!r}")
+    name = _file_name(entry.get("name"), "strategy name")
     kind = entry.get("kind", PAPER_LABELS.get(name))
     if kind not in STRATEGY_KINDS:
         raise ConfigError(f"strategy {name!r} needs a kind from {list(STRATEGY_KINDS)}: {entry!r}")
@@ -130,10 +128,17 @@ def _typed(value, kind: type, where: str):
     return value
 
 
+def _file_name(name, where: str) -> str:
+    """A dataset or strategy name, which names output files: one path component."""
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"{where} must be one file name, not {name!r}")
+    return name
+
+
 def _parse_dataset(entry, config_dir: Path) -> DatasetConfig:
     if not isinstance(entry, dict) or "name" not in entry or "path" not in entry:
         raise ConfigError(f"each dataset needs name and path: {entry!r}")
-    name = _typed(entry["name"], str, "dataset name")
+    name = _file_name(entry["name"], "dataset name")
     _reject_unknown_keys(entry, DATASET_KEYS, f"dataset {name!r}")
     rng = entry.get("date_range")
     if rng is not None and not (isinstance(rng, list) and len(rng) == 2):

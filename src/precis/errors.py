@@ -68,12 +68,7 @@ class NonconvergenceError(PrecisError):
 
 
 class TuningError(PrecisError):
-    """Every grid point of a penalty search failed. ``curve`` holds the
-    (rho, score) pairs that were evaluated, when any exist."""
-
-    def __init__(self, message: str, curve=None):
-        self.curve = curve or []
-        super().__init__(message)
+    """An empty or unsorted rho grid; also names the failure of a search with no converged point."""
 
 
 class UndefinedMetricError(PrecisError):

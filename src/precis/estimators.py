@@ -371,19 +371,21 @@ def predictive_loglik(psi: np.ndarray, s_holdout: np.ndarray) -> float:
 
 def tune_rho(
     in_sample: np.ndarray,
-    kind: str,
+    penalties,
     grid,
-    alpha: float = 0.5,
     opts: SolverOptions | None = None,
-) -> tuple[float, list[tuple[float, float]]]:
-    """Grid-search rho by held-out predictive likelihood.
+) -> list[tuple[float | None, list[tuple[float, float]]]]:
+    """Grid-search rho for each (kind, alpha) penalty by held-out predictive likelihood.
 
-    Fits on the first ceil(TUNE_FIT_SHARE * n) rows of the in-sample block
-    and scores each fitted precision by logdet - trace(S_holdout psi) on the
-    rest (pure in-sample likelihood is maximized at rho = 0, so a holdout is
-    forced).
-    Grid points whose solver fails to converge score -inf. Ties break toward
-    the smaller rho. Returns (rho_star, [(rho, score), ...]).
+    All penalties fit on the first ceil(TUNE_FIT_SHARE * n) rows of the
+    in-sample block and score each fitted precision by
+    logdet - trace(S_holdout psi) on the rest (pure in-sample likelihood is
+    maximized at rho = 0, so a holdout is forced). Each distinct problem,
+    keyed by (rho * l1 share, rho * l2 share), is solved once: rho = 0 is
+    one solve for every kind, and an elastic alpha of 0 or 1 reuses the l1
+    or l2 solves. Grid points whose solver fails to converge score -inf.
+    Ties break toward the smaller rho. Returns (rho_star, [(rho, score),
+    ...]) per penalty, rho_star None when no grid point converged.
     """
     block = np.asarray(in_sample, dtype=float)
     if block.ndim != 2 or block.shape[0] < 24:
@@ -397,21 +399,28 @@ def tune_rho(
     s_fit = sample_covariance(block[:n_fit])
     s_hold = sample_covariance(block[n_fit:])
 
-    curve: list[tuple[float, float]] = []
-    for rho in grid:
+    def score(penalty: PenaltySpec) -> float:
         try:
-            estimate = penalized_qml(s_fit, n_fit, PenaltySpec(kind=kind, rho=rho, alpha=alpha), opts)
+            estimate = penalized_qml(s_fit, n_fit, penalty, opts)
         except (SingularMatrixError, DegenerateMatrixError) as exc:
-            logger.warning("tuning point rho=%.4g failed: %s", rho, exc)
-            curve.append((rho, -np.inf))
-            continue
+            logger.warning("tuning point rho=%.4g failed: %s", penalty.rho, exc)
+            return -np.inf
         if not estimate.converged:
-            logger.warning("tuning point rho=%.4g did not converge; scored -inf", rho)
-            curve.append((rho, -np.inf))
-            continue
-        curve.append((rho, predictive_loglik(estimate.psi, s_hold)))
-    scores = np.asarray([score for _, score in curve])
-    if not np.any(np.isfinite(scores)):
-        raise TuningError("every grid point failed to produce a converged estimate", curve=curve)
-    rho_star = curve[int(np.argmax(scores))][0]  # argmax takes the first (smallest rho) on ties
-    return rho_star, curve
+            logger.warning("tuning point rho=%.4g did not converge; scored -inf", penalty.rho)
+            return -np.inf
+        return predictive_loglik(estimate.psi, s_hold)
+
+    scores: dict[tuple[float, ...], float] = {}  # per distinct problem
+    results = []
+    for kind, alpha in penalties:
+        curve = []
+        for rho in grid:
+            penalty = PenaltySpec(kind=kind, rho=rho, alpha=alpha)
+            key = tuple(rho * share for share in penalty.weights)
+            if key not in scores:
+                scores[key] = score(penalty)
+            curve.append((rho, scores[key]))
+        values = np.asarray([value for _, value in curve])
+        best = int(np.argmax(values))  # argmax takes the first (smallest rho) on ties
+        results.append((curve[best][0] if np.any(np.isfinite(values)) else None, curve))
+    return results

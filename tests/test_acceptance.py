@@ -258,7 +258,7 @@ def test_criterion_09_paper_table_reproduction():
     assert abs(ew_var - 20.68) <= 0.05 * 20.68, f"EW variance {ew_var}"
     ew_sharpe = oos_sharpe(runs17["EW-MVP"])
     assert abs(ew_sharpe - 0.215) <= 0.05 * 0.215, f"EW sharpe {ew_sharpe}"
-    cond_mean = condition_stats(runs17["S-MVP"]).mean
+    cond_mean = condition_stats(runs17["S-MVP"])["cond_mean"]
     assert abs(cond_mean - 300.60) <= 0.15 * 300.60, f"S cond mean {cond_mean}"
     assert oos_variance(runs17["LW-MVP"]) < oos_variance(runs17["S-MVP"])
     ew_to = turnover(runs17["EW-MVP"], panel17)

@@ -344,8 +344,9 @@ class TestMetrics:
     def test_weight_distribution_equal_weights(self):
         run = fake_run([[0.25] * 4] * 3)
         summary = weight_distribution(run)
-        assert summary.minimum == summary.p5 == summary.p95 == summary.maximum == 0.25
-        assert summary.neg_fraction == 0.0
+        assert summary["weight_min"] == summary["weight_p5"] == 0.25
+        assert summary["weight_p95"] == summary["weight_max"] == 0.25
+        assert summary["weight_neg_fraction"] == 0.0
 
     def test_weight_distribution_hand_oracle(self):
         rows = [[-0.2, 0.5, 0.7], [0.1, 0.2, 0.7], [-0.1, 0.4, 0.7]]
@@ -353,10 +354,10 @@ class TestMetrics:
         mins = [min(r) for r in rows]
         maxs = [max(r) for r in rows]
         p5s = [np.percentile(r, 5) for r in rows]
-        assert summary.minimum == pytest.approx(np.mean(mins))
-        assert summary.maximum == pytest.approx(np.mean(maxs))
-        assert summary.p5 == pytest.approx(np.mean(p5s))
-        assert summary.neg_fraction == pytest.approx(np.mean([1 / 3, 0.0, 1 / 3]))
+        assert summary["weight_min"] == pytest.approx(np.mean(mins))
+        assert summary["weight_max"] == pytest.approx(np.mean(maxs))
+        assert summary["weight_p5"] == pytest.approx(np.mean(p5s))
+        assert summary["weight_neg_fraction"] == pytest.approx(np.mean([1 / 3, 0.0, 1 / 3]))
 
     def test_sparsity_trivials(self):
         diagonal = fake_run([[1.0]] * 2, zeros=[1.0, 1.0])
@@ -369,16 +370,16 @@ class TestMetrics:
     def test_condition_stats_identity_estimates(self):
         run = fake_run([[1.0]] * 3, conds=[1.0, 1.0, 1.0])
         stats = condition_stats(run)
-        assert stats.mean == 1.0
-        assert stats.std == 0.0
-        assert stats.n_infinite == 0
+        assert stats["cond_mean"] == 1.0
+        assert stats["cond_std"] == 0.0
+        assert stats["cond_infinite"] == 0
 
     def test_condition_stats_excludes_infinities(self):
         run = fake_run([[1.0]] * 4, conds=[10.0, np.inf, 30.0, np.inf])
         stats = condition_stats(run)
-        assert stats.mean == pytest.approx(20.0)
-        assert stats.n_finite == 2
-        assert stats.n_infinite == 2
+        assert stats["cond_mean"] == pytest.approx(20.0)
+        assert stats["cond_std"] == pytest.approx(np.std([10.0, 30.0], ddof=1))  # the 2 finite ones
+        assert stats["cond_infinite"] == 2
 
     def test_shrinkage_and_turnover_ordering(self, rng):
         # synthetic stand-in for the vintage-contingent table checks: with
@@ -412,7 +413,7 @@ class TestMetrics:
         runs = run_rolling(panel, config)
         sample_stats = condition_stats(runs["S-MVP"])
         lw_stats = condition_stats(runs["LW-MVP"])
-        assert lw_stats.mean <= sample_stats.mean
+        assert lw_stats["cond_mean"] <= sample_stats["cond_mean"]
 
 
 class TestReport:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +410,7 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         (lambda raw: raw["grid"].update(stop=float("inf")), "stop"),
         (lambda raw: raw["grid"].update(step=1e-320), "step"),
         (lambda raw: raw["grid"].update(step=1e-300), "step"),
+        (lambda raw: raw["grid"].update(stop=1e-10, step=1e-11), "step"),
         (lambda raw: raw["grid"].update(start=-1.0), "start"),
         (lambda raw: raw["solver"].update(tol=float("inf")), "tol"),
         (lambda raw: raw.update(datasets=5), "datasets"),
@@ -429,6 +433,7 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         "grid-stop-inf",
         "grid-step-overflows",
         "grid-step-too-many-points",
+        "grid-step-below-rounding",
         "grid-start-negative",
         "tol-inf",
         "datasets-not-a-list",
@@ -452,6 +457,41 @@ def test_malformed_config_value_is_a_config_error(workspace, capsys, change, key
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
     assert not (root / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["tune", "backtest"])
+@pytest.mark.parametrize("bad", ["", ".", "..", "a/../../../escaped", "x/y", "a\\b"])
+@pytest.mark.parametrize("where", ["dataset", "strategy"])
+def test_names_must_be_single_path_components(workspace, capsys, command, bad, where):
+    # dataset and strategy names name output files, so a separator or a dot
+    # entry could write outside the out directory
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["strategies"] = [{"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"}]
+    if where == "dataset":
+        raw["datasets"][0]["name"] = bad
+    else:
+        raw["strategies"][0]["name"] = bad
+    config.write_text(yaml.safe_dump(raw))
+    before = sorted(root.rglob("*"))
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {where} name"), err
+    assert sorted(root.rglob("*")) == before
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+def test_import_defaults_to_one_blas_thread(preset, expected):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    env["PYTHONPATH"] = str(REPO / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = f"import os, precis; print(*(os.environ[name] for name in {names!r}))"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == [expected, "1", "1"]
 
 
 def test_committed_configs_use_only_known_keys():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_psd_singular, rand_spd, synth_returns
+from precis import estimators
 from precis import (
     PenaltySpec,
     SolverOptions,
@@ -395,7 +396,7 @@ class TestPenalizedQml:
 class TestTuneRho:
     def test_singleton_grid(self, rng):
         block = synth_returns(48, 5, rng)
-        rho_star, curve = tune_rho(block, "l1", [0.8])
+        [(rho_star, curve)] = tune_rho(block, [("l1", 0.5)], [0.8])
         assert rho_star == 0.8
         assert len(curve) == 1
 
@@ -408,7 +409,7 @@ class TestTuneRho:
         sigma = np.linalg.inv(psi_true)
         chol = np.linalg.cholesky(sigma)
         block = gen.normal(size=(60, p)) @ chol.T
-        rho_star, curve = tune_rho(block, "l1", [0.0, 0.25, 0.5, 1.0, 2.0])
+        [(rho_star, curve)] = tune_rho(block, [("l1", 0.5)], [0.0, 0.25, 0.5, 1.0, 2.0])
         scores = dict(curve)
         assert rho_star > 0.0
         assert scores[rho_star] >= scores[0.0]
@@ -417,7 +418,7 @@ class TestTuneRho:
         # scoring is deterministic, so exact ties only arise from duplicates;
         # verify the argmax rule directly on a two-point plateau
         block = synth_returns(48, 4, rng)
-        rho_star, curve = tune_rho(block, "l2", [0.3, 0.31])
+        [(rho_star, curve)] = tune_rho(block, [("l2", 0.5)], [0.3, 0.31])
         scores = [s for _, s in curve]
         if scores[0] == scores[1]:
             assert rho_star == 0.3
@@ -426,20 +427,55 @@ class TestTuneRho:
 
     def test_short_block_rejected(self, rng):
         with pytest.raises(InsufficientDataError):
-            tune_rho(synth_returns(20, 4, rng), "l1", [0.5])
+            tune_rho(synth_returns(20, 4, rng), [("l1", 0.5)], [0.5])
 
     def test_unsorted_grid_rejected(self, rng):
         with pytest.raises(TuningError):
-            tune_rho(synth_returns(48, 4, rng), "l1", [1.0, 0.5])
+            tune_rho(synth_returns(48, 4, rng), [("l1", 0.5)], [1.0, 0.5])
 
     def test_nonconverged_points_scored_minus_inf(self, rng):
         block = synth_returns(48, 6, rng)
         starved = SolverOptions(max_iter=1, tol=1e-14)
-        with pytest.raises(TuningError):
-            tune_rho(block, "l2", [0.5, 1.0], opts=starved)
+        [(rho_star, curve)] = tune_rho(block, [("l2", 0.5)], [0.5, 1.0], opts=starved)
+        assert rho_star is None
+        assert curve == [(0.5, -np.inf), (1.0, -np.inf)]
 
     def test_curve_covers_grid(self, rng):
         block = synth_returns(48, 4, rng)
         grid = [0.0, 0.5, 1.0, 1.5]
-        _, curve = tune_rho(block, "l2", grid)
+        [(_, curve)] = tune_rho(block, [("l2", 0.5)], grid)
         assert [rho for rho, _ in curve] == grid
+
+    def test_each_distinct_problem_solved_once(self, rng, monkeypatch):
+        # rho = 0 is one unpenalized problem for every kind, and an elastic
+        # alpha of 0 or 1 poses the l1 or l2 problem
+        calls = []
+
+        def counted(s, t, penalty, opts=None):
+            calls.append((penalty.kind, penalty.rho))
+            return penalized_qml(s, t, penalty, opts)
+
+        monkeypatch.setattr(estimators, "penalized_qml", counted)
+        block = synth_returns(48, 4, rng)
+        tune_rho(block, [("l1", 0.5), ("l2", 0.5), ("elastic", 0.5)], [0.0, 0.5, 1.0])
+        assert len(calls) == 7
+        assert calls[0] == ("l1", 0.0) and [rho for _, rho in calls].count(0.0) == 1
+        calls.clear()
+        tune_rho(block, [("l1", 0.5), ("l2", 0.5), ("elastic", 0.0), ("elastic", 1.0)], [0.0, 0.5])
+        assert calls == [("l1", 0.0), ("l1", 0.5), ("l2", 0.5)]
+
+    def test_joint_curves_equal_curves_tuned_alone(self, rng):
+        block = synth_returns(48, 5, rng)
+        grid = [0.0, 0.25, 1.0, 3.0]
+        penalties = [("l1", 0.5), ("l2", 0.5), ("elastic", 0.3), ("elastic", 0.0), ("elastic", 1.0)]
+        joint = tune_rho(block, penalties, grid)
+        assert joint == [tune_rho(block, [penalty], grid)[0] for penalty in penalties]
+        assert all(np.isfinite(score) for _, curve in joint for _, score in curve)
+
+    def test_singular_fit_block_warns_once_for_every_kind(self, rng, caplog):
+        block = synth_returns(24, 20, rng)  # 18 fitting rows for 20 assets: S_fit is singular
+        with caplog.at_level("WARNING", logger="precis.estimators"):
+            tuned = tune_rho(block, [("l1", 0.5), ("l2", 0.5), ("elastic", 0.5)], [0.0, 1.0])
+        failed = [r.getMessage() for r in caplog.records if "rho=0 failed" in r.getMessage()]
+        assert len(failed) == 1, failed
+        assert all(curve[0] == (0.0, -np.inf) and rho_star == 1.0 for rho_star, curve in tuned)
