@@ -10,9 +10,9 @@ required.
 import sys
 from pathlib import Path
 
-import numpy as np
+from precis.cli import main  # before numpy, so that precis sets its one-BLAS-thread default
 
-from precis.cli import main
+import numpy as np
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,8 +55,6 @@ STRATEGY_PARAMS = {
     "qml_l1": ("rho",),
     "qml_l2": ("rho",),
     "qml_elastic": ("rho", "alpha"),
-    "ledoit_wolf": ("lw_alpha",),
-    "pca": ("pca_threshold",),
 }
 
 DEFAULT_GRID = (0.0, 3.0, 0.1)  # the paper's rho grid as (start, stop, step)
@@ -92,17 +90,13 @@ DEFAULT_RHO_GRID = grid_values(*DEFAULT_GRID)
 class StrategySpec:
     """One portfolio strategy: estimator kind plus its parameters.
 
-    rho=None on a penalized kind means "tune on the first estimation
-    window". lw_alpha=None lets the Ledoit-Wolf intensity be set
-    analytically per window.
+    rho=None on a penalized kind means "tune on the first estimation window".
     """
 
     name: str
     kind: str
     rho: float | None = None
     alpha: float = 0.5
-    lw_alpha: float | None = None
-    pca_threshold: float = 0.99
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -111,10 +105,6 @@ class StrategySpec:
             raise ConfigError(f"rho must be finite and nonnegative, got {self.rho}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.lw_alpha is not None and not 0.0 <= self.lw_alpha <= 1.0:
-            raise ConfigError(f"lw_alpha must lie in [0, 1], got {self.lw_alpha}")
-        if not 0.0 < self.pca_threshold <= 1.0:
-            raise ConfigError(f"pca_threshold must lie in (0, 1], got {self.pca_threshold}")
 
     @property
     def penalized(self) -> bool:
@@ -174,10 +164,6 @@ class StrategyRun:
         return np.asarray([rec.oos_return for rec in self.records])
 
     @property
-    def window_ids(self) -> list[int]:
-        return [rec.window_id for rec in self.records]
-
-    @property
     def n_success(self) -> int:
         return len(self.records)
 
@@ -193,12 +179,13 @@ def _window_weights(
     decomp: EigenDecomposition,
     rho: float | None,
     window_id: int,
+    realized: np.ndarray,
     solver: SolverOptions,
 ) -> WindowRecord:
-    """Weights plus diagnostics for one estimation window. Raises on failure.
+    """Weights, realized return and diagnostics for one window. Raises on failure.
 
-    s is the window's sample covariance and decomp its spectrum. The
-    record's oos_return is NaN; the caller fills it in.
+    s is the window's sample covariance, decomp its spectrum and realized
+    the returns of the month the weights are held for.
     """
     spec = run.spec
     p = window.shape[1]
@@ -216,9 +203,9 @@ def _window_weights(
         if spec.kind == "sample":
             estimate = sample_precision(decomp)
         elif spec.kind == "ledoit_wolf":
-            estimate = ledoit_wolf(decomp, alpha=spec.lw_alpha, window=window)
+            estimate = ledoit_wolf(decomp, window=window)
         elif spec.kind == "pca":
-            estimate = pca_precision(decomp, threshold=spec.pca_threshold)
+            estimate = pca_precision(decomp)
         else:
             penalty = PenaltySpec(kind=spec.penalty_kind, rho=float(rho), alpha=spec.alpha)
             estimate = penalized_qml(s, window.shape[0], penalty, solver)
@@ -231,7 +218,7 @@ def _window_weights(
     return WindowRecord(
         window_id=window_id,
         weights=wv,
-        oos_return=np.nan,
+        oos_return=float(wv.weights @ realized),
         cond=cond,
         zero_fraction=zero_fraction,
         converged=converged,
@@ -306,14 +293,14 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
         window = panel.returns[t - t_len : t]
         s = sample_covariance(window)
         decomp = sym_eigen(s)
+        realized = panel.returns[t]
         for run, rho in live:
             try:
-                record = _window_weights(run, window, s, decomp, rho, t, config.solver)
+                record = _window_weights(run, window, s, decomp, rho, t, realized, config.solver)
             except PrecisError as exc:
                 run.failures.append((t, f"{type(exc).__name__}: {exc}"))
                 continue
-            oos = float(record.weights.weights @ panel.returns[t])
-            run.records.append(replace(record, oos_return=oos))
+            run.records.append(record)
     for run, _ in live:
         if not run.available:
             logger.warning("strategy %s failed on every window; marked unavailable", run.spec.name)
@@ -473,7 +460,7 @@ def build_report(
     runs: dict[str, StrategyRun],
     panel: ReturnsPanel,
     config: RollingConfig,
-    dataset: str = "panel",
+    dataset: str,
 ) -> BacktestReport:
     """Reduce strategy runs to the per-strategy metric block of the report."""
     reports: list[StrategyReport] = []

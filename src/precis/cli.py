@@ -43,7 +43,7 @@ from .panel import ReturnsPanel, describe, forward_fill, parse_panel
 TOP_LEVEL_KEYS = ("window_length", "out", "grid", "solver", "datasets", "strategies")
 DATASET_KEYS = ("name", "path", "date_range")
 GRID_KEYS = ("start", "stop", "step")
-SOLVER_KEYS = ("tol", "max_iter")
+SOLVER_KEYS = ("max_iter",)
 DESCRIBE_COLUMNS = ("asset", "mean", "variance", "sharpe")
 # The backtest's CSV tables: file stem, then (column, StrategyReport field)
 # pairs; every row starts with the dataset and strategy names.
@@ -75,9 +75,9 @@ class RunConfig:
     out_dir: Path
 
     def __post_init__(self):
-        for ds in self.datasets:
-            if not ds.path.exists():
-                raise ConfigError(f"dataset {ds.name!r}: no such file {ds.path}")
+        missing = [f"{ds.name!r} ({ds.path})" for ds in self.datasets if not ds.path.exists()]
+        if missing:
+            raise ConfigError("no such file for dataset " + ", ".join(missing))
 
 
 def _parse_strategy(entry) -> StrategySpec:
@@ -103,9 +103,12 @@ def _parse_strategy(entry) -> StrategySpec:
 
 
 def _number(value, where: str, integer: bool = False) -> float | int:
-    """A finite config value as a float, or as an int when integer; else a ConfigError."""
+    """A finite config value as a float, or as an int when integer; else a ConfigError.
+
+    A YAML boolean (true, on, yes) is not a number, although float() takes it.
+    """
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number) or (integer and not number.is_integer()):
@@ -141,7 +144,9 @@ def _parse_dataset(entry, config_dir: Path) -> DatasetConfig:
     name = _file_name(entry["name"], "dataset name")
     _reject_unknown_keys(entry, DATASET_KEYS, f"dataset {name!r}")
     rng = entry.get("date_range")
-    if rng is not None and not (isinstance(rng, list) and len(rng) == 2):
+    if rng is not None and not (
+        isinstance(rng, list) and len(rng) == 2 and not any(isinstance(end, bool) for end in rng)
+    ):
         raise ConfigError(f"dataset {name!r} date_range must be a [start, end] pair, got {rng!r}")
     return DatasetConfig(
         name=name,
@@ -187,8 +192,7 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
     solver_raw = raw.get("solver", {})
     _reject_unknown_keys(solver_raw, SOLVER_KEYS, "solver")
     solver_args = {
-        key: _number(value, f"solver {key}", integer=key == "max_iter")
-        for key, value in solver_raw.items()
+        key: _number(value, f"solver {key}", integer=True) for key, value in solver_raw.items()
     }
     try:
         solver = SolverOptions(**solver_args)
@@ -230,8 +234,6 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
-    if isinstance(obj, Path):
-        return str(obj)
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):  # numpy scalar
         return _jsonify(obj.item())
     return obj

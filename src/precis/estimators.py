@@ -114,7 +114,6 @@ class PrecisionEstimate:
     iterations: int = 0
     converged: bool = True
     residual: float = 0.0
-    lw_intensity: float | None = None
     spectrum: EigenDecomposition | None = None  # of the covariance estimate psi inverts
 
 
@@ -170,7 +169,7 @@ def ledoit_wolf(
         raise ValueError(f"shrinkage intensity must lie in [0, 1], got {alpha}")
     lam = (1.0 - alpha) * decomp.eigenvalues + alpha * sigma2bar
     shrunk = EigenDecomposition(eigenvalues=lam, eigenvectors=decomp.eigenvectors)
-    return PrecisionEstimate(invert_spd(shrunk), lw_intensity=float(alpha), spectrum=shrunk)
+    return PrecisionEstimate(invert_spd(shrunk), spectrum=shrunk)
 
 
 def pca_precision(s: np.ndarray | EigenDecomposition, threshold: float = 0.99) -> PrecisionEstimate:

@@ -35,16 +35,16 @@ class EigenDecomposition:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
-def check_symmetric(a: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+def check_symmetric(a: np.ndarray) -> np.ndarray:
     """Validate elementwise symmetry and return the matrix as float64.
 
-    Raises SymmetryError when any |a_ij - a_ji| exceeds tol * max(1, |a_ij|).
+    Raises SymmetryError when any |a_ij - a_ji| exceeds SYM_TOL * max(1, |a_ij|).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SymmetryError(f"expected a square matrix, got shape {a.shape}")
     gap = np.abs(a - a.T)
-    bound = tol * np.maximum(1.0, np.abs(a))
+    bound = SYM_TOL * np.maximum(1.0, np.abs(a))
     if np.any(gap > bound):
         i, j = np.unravel_index(int(np.argmax(gap - bound)), a.shape)
         raise SymmetryError(f"asymmetry {gap[i, j]:.3e} at ({i}, {j}) exceeds tolerance")

@@ -4,10 +4,10 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from precis import ReturnsPanel, forward_fill, parse_panel  # before numpy: one BLAS thread
+
 import numpy as np
 import pytest
-
-from precis import ReturnsPanel, forward_fill, parse_panel
 
 # Real Ken French CSVs are looked up here (pre-trimmed: header line, YYYYMM
 # date column, one numeric column per asset). Tests that need them skip when

@@ -66,7 +66,7 @@ class TestRunRolling:
         run = runs["EW-MVP"]
         assert run.n_windows == 1
         assert run.n_success == 1
-        assert run.window_ids == [24]
+        assert [rec.window_id for rec in run.records] == [24]
 
     def test_equal_weight_returns_are_month_means(self, rng):
         returns = synth_returns(30, 4, rng)
@@ -169,14 +169,13 @@ class TestRunRolling:
         # the budget constraint on the assets gives exactly the S-MVP weights
         panel = make_panel(synth_returns(40, 5, rng))
         config = RollingConfig(
-            strategies=(
-                StrategySpec("S-MVP", "sample"),
-                StrategySpec("PCA-MVP", "pca", pca_threshold=1.0),
-            ),
+            strategies=(StrategySpec("S-MVP", "sample"), StrategySpec("PCA-MVP", "pca")),
             window_length=30,
         )
         runs = run_rolling(panel, config)
         assert runs["PCA-MVP"].n_success == runs["S-MVP"].n_success == 10
+        # a finite condition number: the 0.99 share kept every component
+        assert np.all(np.isfinite([rec.cond for rec in runs["PCA-MVP"].records]))
         for pca, sample in zip(runs["PCA-MVP"].records, runs["S-MVP"].records):
             gap = np.abs(pca.weights.weights - sample.weights.weights).max()
             assert gap <= 1e-12
@@ -201,9 +200,9 @@ NON_PENALIZED = (
     StrategySpec("EW-MVP", "equal"),
     StrategySpec("LW-MVP", "ledoit_wolf"),
     StrategySpec("PCA-MVP", "pca"),
-    StrategySpec("PCA-90", "pca", pca_threshold=0.9),
     StrategySpec("JM-MVP", "no_short"),
 )
+PCA_SHARE = 0.99  # the variance share pca_precision keeps by default
 
 
 def _rebuilt_record(spec, rows):
@@ -221,9 +220,9 @@ def _rebuilt_record(spec, rows):
             # psi pseudo-inverts the rank-k covariance: S's condition number
             # when every component is kept, infinite otherwise
             lam = np.linalg.eigvalsh(s)[::-1]
-            k = int(np.argmax(np.cumsum(lam) >= spec.pca_threshold * lam.sum())) + 1
+            k = int(np.argmax(np.cumsum(lam) >= PCA_SHARE * lam.sum())) + 1
             cond = condition_number(s) if k == len(lam) else np.inf
-            return mvp_weights(pca_precision(s, spec.pca_threshold).psi).weights, cond
+            return mvp_weights(pca_precision(s, PCA_SHARE).psi).weights, cond
         if spec.kind == "sample":
             psi = sample_precision(s).psi
         else:  # Ledoit-Wolf, shrunk as a dense matrix
@@ -255,27 +254,32 @@ class TestSharedWindowWork:
         assert calls == {"sample_covariance": 10, "sym_eigen": 10}
 
     def test_matches_strategies_rebuilt_one_at_a_time(self, rng):
-        returns = synth_returns(45, 8, rng)
+        plain = synth_returns(45, 8, rng)
+        # a ninth column that nearly repeats the first: the 0.99 share drops a component
+        collinear = np.column_stack([plain, plain[:, 0] + 0.5 * rng.normal(size=45)])
         t_len = 30
-        runs = run_rolling(
-            make_panel(returns), RollingConfig(strategies=NON_PENALIZED, window_length=t_len)
-        )
-        for spec in NON_PENALIZED:
-            run = runs[spec.name]
-            assert run.window_ids == list(range(t_len, 45)) and not run.failures
-            for rec in run.records:
-                t = rec.window_id
-                weights, cond = _rebuilt_record(spec, returns[t - t_len : t])
-                oos = float(weights @ returns[t])
-                assert np.abs(rec.weights.weights - weights).max() <= 1e-10 * np.abs(weights).max()
-                assert rec.oos_return == pytest.approx(oos, rel=1e-10, abs=0.0)
-                if np.isnan(cond):
-                    assert np.isnan(rec.cond)
-                else:
-                    assert rec.cond == pytest.approx(cond, rel=1e-10, abs=0.0)
-        # both PCA cases occur: every component kept, and some dropped
-        assert np.all(np.isfinite([rec.cond for rec in runs["PCA-MVP"].records]))
-        assert np.all(np.isinf([rec.cond for rec in runs["PCA-90"].records]))
+        for returns, pca_keeps_all in ((plain, True), (collinear, False)):
+            runs = run_rolling(
+                make_panel(returns), RollingConfig(strategies=NON_PENALIZED, window_length=t_len)
+            )
+            for spec in NON_PENALIZED:
+                run = runs[spec.name]
+                assert [rec.window_id for rec in run.records] == list(range(t_len, 45))
+                assert not run.failures
+                for rec in run.records:
+                    t = rec.window_id
+                    weights, cond = _rebuilt_record(spec, returns[t - t_len : t])
+                    oos = float(weights @ returns[t])
+                    gap = np.abs(rec.weights.weights - weights).max()
+                    assert gap <= 1e-10 * np.abs(weights).max()
+                    assert rec.oos_return == pytest.approx(oos, rel=1e-10, abs=0.0)
+                    if np.isnan(cond):
+                        assert np.isnan(rec.cond)
+                    else:
+                        assert rec.cond == pytest.approx(cond, rel=1e-10, abs=0.0)
+            # both PCA cases occur: every component kept, and some dropped
+            pca_conds = [rec.cond for rec in runs["PCA-MVP"].records]
+            assert np.all(np.isfinite(pca_conds) if pca_keeps_all else np.isinf(pca_conds))
 
     def test_wide_windows_fail_as_when_rebuilt(self, rng):
         # p = 12 > T = 8: S is singular on every window

@@ -77,17 +77,16 @@ def test_describe_without_datasets_fails(tmp_path):
     assert main(["describe", "--config", str(config)]) == 1
 
 
-def test_missing_dataset_path_fails(tmp_path):
+def test_missing_dataset_path_fails(tmp_path, capsys):
     config = tmp_path / "bad.yaml"
-    config.write_text(
-        yaml.safe_dump(
-            {
-                "datasets": [{"name": "x", "path": "nope.csv"}],
-                "strategies": ["EW-MVP"],
-            }
-        )
-    )
+    datasets = [{"name": "a", "path": "nope_a.csv"}, {"name": "b", "path": "nope_b.csv"}]
+    config.write_text(yaml.safe_dump({"datasets": datasets, "strategies": ["EW-MVP"]}))
     assert main(["describe", "--config", str(config)]) == 1
+    # one error names every missing file, not only the first
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no such file"), err
+    assert all(text in err[0] for text in ("'a'", "nope_a.csv", "'b'", "nope_b.csv")), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tune_curve_covers_grid(tmp_path, rng):
@@ -316,49 +315,24 @@ def test_tune_and_backtest_write_identical_curves(workspace):
         assert tuned == (root / "tested" / "curves" / name).read_bytes()
 
 
-def test_unshrunk_ledoit_wolf_reproduces_sample_mvp(workspace):
-    root, config = workspace
-    raw = yaml.safe_load(config.read_text())
-    raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
-    raw["strategies"] = ["S-MVP", {"name": "LW-MVP", "lw_alpha": 0.0}]
-    config.write_text(yaml.safe_dump(raw))
-    assert main(["backtest", "--config", str(config)]) == 0
-    report = json.loads((root / "out" / "report.json").read_text())["reports"][0]
-    sample, lw = report["strategies"]
-    assert sample["oos_variance"] is not None
-    assert lw["oos_variance"] == sample["oos_variance"]
-
-
-def test_pca_threshold_parses_into_spec(workspace):
-    root, config = workspace
-    raw = yaml.safe_load(config.read_text())
-    raw["strategies"] = [{"name": "PCA-MVP", "pca_threshold": 0.9}]
-    config.write_text(yaml.safe_dump(raw))
-    (spec,) = load_config(config).rolling.strategies
-    assert spec.kind == "pca" and spec.pca_threshold == 0.9
-
-
+# YAML's true, on and yes all load as True, which float() would take as 1
 @pytest.mark.parametrize(
     "strategy, key",
     [
         ({"name": "EN-MVP", "kind": "qml_elastic", "rho": 0.5, "alpha": 1.5}, "alpha"),
-        ({"name": "LW-MVP", "lw_alpha": 2.0}, "lw_alpha"),
-        ({"name": "PCA-MVP", "pca_threshold": 0}, "pca_threshold"),
         ({"name": "EN-MVP", "kind": "qml_elastic", "rho": 0.5, "alpha": "half"}, "half"),
         ({"name": "S-MVP", "rho": 0.7}, "rho"),
         ({"name": "Ridge-MVP", "kind": "qml_l2", "rho": 0.5, "alpha": 0.5}, "alpha"),
-        ({"name": "LW-MVP", "pca_threshold": 0.9}, "pca_threshold"),
-        ({"name": "PCA-MVP", "lw_alpha": 0.5}, "lw_alpha"),
+        ({"name": "EN-MVP", "kind": "qml_elastic", "rho": 0.5, "alpha": True}, "alpha"),
+        ({"name": "Ridge-MVP", "kind": "qml_l2", "rho": True}, "rho"),
     ],
     ids=[
         "alpha-out-of-range",
-        "lw_alpha-out-of-range",
-        "pca_threshold-out-of-range",
         "alpha-not-a-number",
         "rho-on-sample",
         "alpha-on-ridge",
-        "pca_threshold-on-ledoit-wolf",
-        "lw_alpha-on-pca",
+        "alpha-a-boolean",
+        "rho-a-boolean",
     ],
 )
 def test_bad_strategy_parameter_is_a_config_error(workspace, capsys, strategy, key):
@@ -381,8 +355,19 @@ def test_bad_strategy_parameter_is_a_config_error(workspace, capsys, strategy, k
         (lambda raw: raw.update(seed=0), "seed"),
         (lambda raw: raw.update(turnover="drift"), "turnover"),
         (lambda raw: raw["datasets"][0].update(range=["1990-01", "1991-12"]), "range"),
+        (lambda raw: raw["strategies"].append({"name": "LW-MVP", "lw_alpha": 0.0}), "lw_alpha"),
+        (lambda raw: raw["strategies"].append({"name": "PCA-MVP", "pca_threshold": 1.0}),
+         "pca_threshold"),
+        (lambda raw: raw["solver"].update(tol=1e-6), "tol"),
     ],
-    ids=["top-level", "retired-turnover", "dataset"],
+    ids=[
+        "top-level",
+        "retired-turnover",
+        "dataset",
+        "retired-lw_alpha",
+        "retired-pca_threshold",
+        "retired-solver-tol",
+    ],
 )
 def test_unknown_config_key_fails(workspace, capsys, change, key):
     root, config = workspace
@@ -401,18 +386,15 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
     "change, key",
     [
         (lambda raw: raw["strategies"].append({"name": ["a"], "kind": "sample"}), "name"),
-        (lambda raw: raw["solver"].update(tol=[1]), "tol"),
         (lambda raw: raw["grid"].update(start="abc"), "start"),
         (lambda raw: raw.update(window_length="abc"), "window_length"),
         (lambda raw: raw["solver"].update(max_iter=1.5), "max_iter"),
-        (lambda raw: raw["solver"].update(tol=float("nan")), "tol"),
         (lambda raw: raw.update(grid=5), "grid"),
         (lambda raw: raw["grid"].update(stop=float("inf")), "stop"),
         (lambda raw: raw["grid"].update(step=1e-320), "step"),
         (lambda raw: raw["grid"].update(step=1e-300), "step"),
         (lambda raw: raw["grid"].update(stop=1e-10, step=1e-11), "step"),
         (lambda raw: raw["grid"].update(start=-1.0), "start"),
-        (lambda raw: raw["solver"].update(tol=float("inf")), "tol"),
         (lambda raw: raw.update(datasets=5), "datasets"),
         (lambda raw: raw.update(strategies=5), "strategies"),
         (lambda raw: raw.update(out=5), "out"),
@@ -421,21 +403,22 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         (lambda raw: raw["datasets"][0].update(date_range="1990-01"), "date_range"),
         (lambda raw: raw["datasets"][0].update(date_range=[199001]), "date_range"),
         (lambda raw: raw["datasets"][1].update(name="toy"), "duplicate dataset names"),
+        (lambda raw: raw["grid"].update(stop=True), "stop"),
+        (lambda raw: raw["solver"].update(max_iter=True), "max_iter"),
+        (lambda raw: raw.update(window_length=True), "window_length"),
+        (lambda raw: raw["datasets"][0].update(date_range=[True, None]), "date_range"),
     ],
     ids=[
         "name-not-a-string",
-        "tol-a-list",
         "grid-start-text",
         "window-text",
         "max_iter-fraction",
-        "tol-nan",
         "grid-not-a-mapping",
         "grid-stop-inf",
         "grid-step-overflows",
         "grid-step-too-many-points",
         "grid-step-below-rounding",
         "grid-start-negative",
-        "tol-inf",
         "datasets-not-a-list",
         "strategies-not-a-list",
         "out-not-a-string",
@@ -444,6 +427,10 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         "date_range-a-string",
         "date_range-one-item",
         "duplicate-dataset-names",
+        "grid-stop-a-boolean",
+        "max_iter-a-boolean",
+        "window-a-boolean",
+        "date_range-a-boolean",
     ],
 )
 def test_malformed_config_value_is_a_config_error(workspace, capsys, change, key):
