@@ -325,6 +325,11 @@ def test_tune_and_backtest_write_identical_curves(workspace):
         ({"name": "Ridge-MVP", "kind": "qml_l2", "rho": 0.5, "alpha": 0.5}, "alpha"),
         ({"name": "EN-MVP", "kind": "qml_elastic", "rho": 0.5, "alpha": True}, "alpha"),
         ({"name": "Ridge-MVP", "kind": "qml_l2", "rho": True}, "rho"),
+        # lw_alpha and pca_threshold are retired: any value is an unknown key
+        ({"name": "LW-MVP", "lw_alpha": 2.0}, "lw_alpha"),
+        ({"name": "PCA-MVP", "pca_threshold": 0}, "pca_threshold"),
+        ({"name": "LW-MVP", "pca_threshold": 0.9}, "pca_threshold"),
+        ({"name": "PCA-MVP", "lw_alpha": 0.5}, "lw_alpha"),
     ],
     ids=[
         "alpha-out-of-range",
@@ -333,6 +338,10 @@ def test_tune_and_backtest_write_identical_curves(workspace):
         "alpha-on-ridge",
         "alpha-a-boolean",
         "rho-a-boolean",
+        "lw_alpha-out-of-range",
+        "pca_threshold-out-of-range",
+        "pca_threshold-on-ledoit-wolf",
+        "lw_alpha-on-pca",
     ],
 )
 def test_bad_strategy_parameter_is_a_config_error(workspace, capsys, strategy, key):
@@ -407,6 +416,10 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         (lambda raw: raw["solver"].update(max_iter=True), "max_iter"),
         (lambda raw: raw.update(window_length=True), "window_length"),
         (lambda raw: raw["datasets"][0].update(date_range=[True, None]), "date_range"),
+        # solver.tol is retired: any value is an unknown key
+        (lambda raw: raw["solver"].update(tol=[1]), "tol"),
+        (lambda raw: raw["solver"].update(tol=float("nan")), "tol"),
+        (lambda raw: raw["solver"].update(tol=float("inf")), "tol"),
     ],
     ids=[
         "name-not-a-string",
@@ -431,6 +444,9 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         "max_iter-a-boolean",
         "window-a-boolean",
         "date_range-a-boolean",
+        "tol-a-list",
+        "tol-nan",
+        "tol-inf",
     ],
 )
 def test_malformed_config_value_is_a_config_error(workspace, capsys, change, key):
