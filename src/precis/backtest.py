@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -105,6 +106,11 @@ class StrategySpec:
             raise ConfigError(f"rho must be finite and nonnegative, got {self.rho}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        # rho or alpha set on a kind that does not read it would be reported without effect
+        for param in fields(self)[2:]:
+            value = getattr(self, param.name)
+            if param.name not in STRATEGY_PARAMS.get(self.kind, ()) and value != param.default:
+                raise ConfigError(f"strategy kind {self.kind!r} reads no {param.name}, got {value}")
 
     @property
     def penalized(self) -> bool:
@@ -127,8 +133,8 @@ class RollingConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.window_length < 2:
-            raise ConfigError(f"window length must be at least 2, got {self.window_length}")
+        if not isinstance(self.window_length, numbers.Integral) or self.window_length < 2:
+            raise ConfigError(f"window length must be an integer >= 2, got {self.window_length!r}")
         names = [s.name for s in self.strategies]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate strategy names in {names}")

@@ -35,16 +35,15 @@ from .backtest import (
     run_rolling,
     tune_strategies,
 )
-from .errors import ConfigError, MulticollinearityError, PrecisError
+from .errors import ConfigError, MulticollinearityError, ParseError, PrecisError
 from .estimators import SolverOptions
 from .hedge import ols_hedge
-from .panel import ReturnsPanel, describe, forward_fill, parse_panel
+from .panel import DESCRIBE_COLUMNS, ReturnsPanel, describe, forward_fill, month_stamp, parse_panel
 
 TOP_LEVEL_KEYS = ("window_length", "out", "grid", "solver", "datasets", "strategies")
 DATASET_KEYS = ("name", "path", "date_range")
 GRID_KEYS = ("start", "stop", "step")
 SOLVER_KEYS = ("max_iter",)
-DESCRIBE_COLUMNS = ("asset", "mean", "variance", "sharpe")
 # The backtest's CSV tables: file stem, then (column, StrategyReport field)
 # pairs; every row starts with the dataset and strategy names.
 REPORT_TABLES = (
@@ -63,7 +62,7 @@ REPORT_TABLES = (
 class DatasetConfig:
     name: str
     path: Path
-    date_range: tuple[str | int | None, str | int | None] | None = None
+    date_range: tuple[int | None, int | None] | None = None  # YYYYMM stamps
 
 
 @dataclass(frozen=True)
@@ -144,14 +143,17 @@ def _parse_dataset(entry, config_dir: Path) -> DatasetConfig:
     name = _file_name(entry["name"], "dataset name")
     _reject_unknown_keys(entry, DATASET_KEYS, f"dataset {name!r}")
     rng = entry.get("date_range")
-    if rng is not None and not (
-        isinstance(rng, list) and len(rng) == 2 and not any(isinstance(end, bool) for end in rng)
-    ):
+    if rng is not None and not (isinstance(rng, list) and len(rng) == 2):
         raise ConfigError(f"dataset {name!r} date_range must be a [start, end] pair, got {rng!r}")
+    if rng is not None:
+        try:
+            rng = tuple(None if end is None else month_stamp(end) for end in rng)
+        except ParseError as exc:
+            raise ConfigError(f"dataset {name!r} date_range: {exc}") from None
     return DatasetConfig(
         name=name,
         path=(config_dir / _typed(entry["path"], str, f"dataset {name!r} path")).resolve(),
-        date_range=None if rng is None else tuple(rng),
+        date_range=rng,
     )
 
 
@@ -293,16 +295,10 @@ def _each_dataset(config: RunConfig, compute) -> list:
 
 
 def cmd_describe(config: RunConfig) -> int:
-    results = _each_dataset(config, lambda ds, panel: (panel, describe(panel)))
-    for ds, (panel, stats) in results:
-        payload = dataclasses.asdict(stats)
-        payload["per_asset"] = [
-            dict(zip(DESCRIBE_COLUMNS, (name, *values)))
-            for name, values in zip(payload.pop("assets"), stats.per_asset)
-        ]
+    for ds, (panel, stats) in _each_dataset(config, lambda ds, panel: (panel, describe(panel))):
         base = config.out_dir / "describe"
-        atomic_write(base / f"{ds.name}.json", dump_json(payload))
-        rows = [list(record.values()) for record in payload["per_asset"]]
+        atomic_write(base / f"{ds.name}.json", dump_json(stats))
+        rows = [[record[column] for column in DESCRIBE_COLUMNS] for record in stats.per_asset]
         write_csv(base / f"{ds.name}.csv", list(DESCRIBE_COLUMNS), rows)
         print(
             f"{ds.name}: p={stats.p} n={stats.n} p/n={stats.dim_ratio:.2f} "

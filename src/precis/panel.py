@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+import numbers
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,25 +27,23 @@ from .errors import (
 from .linalg import sample_covariance
 
 MISSING_SENTINELS = (-99.99, -999.0)
+# The keys of each per-asset record that describe reports, in output column order.
+DESCRIBE_COLUMNS = ("asset", "mean", "variance", "sharpe")
 
 
-def _to_yyyymm(value) -> int:
-    """Normalize a date spec (int 197307, '197307', or '1973-07') to YYYYMM."""
-    if isinstance(value, int):
-        stamp = value
+def month_stamp(value, row: int | None = None) -> int:
+    """The YYYYMM stamp of a month: 'YYYYMM' or 'YYYY-MM' text, or a six-digit integer.
+
+    Any other value, a boolean or a month outside 1-12 included, is a ParseError at row.
+    """
+    if isinstance(value, numbers.Integral):  # True and False fail the six-digit test
+        stamp = int(value)
     else:
-        text = str(value).strip().replace("-", "")
-        if not text.isdigit() or len(text) != 6:
-            raise ParseError(f"cannot interpret {value!r} as a YYYYMM month")
-        stamp = int(text)
-    month = stamp % 100
-    if not 1 <= month <= 12:
-        raise ParseError(f"month out of range in date stamp {stamp}")
+        match = isinstance(value, str) and re.fullmatch(r"([0-9]{4})-?([0-9]{2})", value.strip())
+        stamp = int(match[1] + match[2]) if match else 0
+    if not 100000 <= stamp <= 999999 or not 1 <= stamp % 100 <= 12:
+        raise ParseError(f"{value!r} is not a YYYYMM or YYYY-MM month", row=row)
     return stamp
-
-
-def _month_index(stamp: int) -> int:
-    return (stamp // 100) * 12 + (stamp % 100 - 1)
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class ReturnsPanel:
             raise InsufficientDataError(f"panel must be at least 2 x 2, got {n} x {p}")
         if len(self.dates) != n or len(self.assets) != p or self.missing_mask.shape != (n, p):
             raise ParseError("inconsistent panel dimensions")
-        idx = np.array([_month_index(int(d)) for d in self.dates])
-        if np.any(np.diff(idx) != 1):
+        dates = np.asarray(self.dates)
+        if np.any(np.diff(dates // 100 * 12 + dates % 100) != 1):  # consecutive month indices
             raise ParseError("dates must be strictly increasing with monthly cadence")
         if not np.all(np.isfinite(self.returns[~self.missing_mask])):
             raise ParseError("non-missing cells must be finite")
@@ -97,8 +97,7 @@ class DescriptiveStats:
     dim_ratio: float
     max_corr: float
     mean_abs_corr: float
-    per_asset: list[tuple[float, float, float]]  # (mean, variance, sharpe)
-    assets: list[str] = field(default_factory=list)
+    per_asset: list[dict[str, str | float]]  # one record per asset, keyed by DESCRIBE_COLUMNS
 
 
 def parse_panel(source, date_range=None) -> ReturnsPanel:
@@ -108,8 +107,8 @@ def parse_panel(source, date_range=None) -> ReturnsPanel:
     first column must hold YYYYMM integers; every other column is a numeric
     asset return. Cells equal to -99.99 or -999 (exact match after parse)
     are flagged missing and stored as NaN. date_range, when given, is an
-    inclusive (start, end) pair of YYYYMM-like specs; rows outside it are
-    dropped.
+    inclusive (start, end) pair of month_stamp months, either of which may
+    be None; rows outside it are dropped.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -135,11 +134,7 @@ def parse_panel(source, date_range=None) -> ReturnsPanel:
     assets = header[1:]
     width = len(header)
 
-    lo = hi = None
-    if date_range is not None:
-        start, end = date_range
-        lo = _to_yyyymm(start) if start is not None else None
-        hi = _to_yyyymm(end) if end is not None else None
+    lo, hi = (None if end is None else month_stamp(end) for end in date_range or (None, None))
 
     dates: list[int] = []
     rows: list[list[float]] = []
@@ -150,9 +145,9 @@ def parse_panel(source, date_range=None) -> ReturnsPanel:
         if len(fields) != width:
             raise ParseError(f"expected {width} fields, got {len(fields)}", row=lineno)
         stamp_text = fields[0].strip()
-        if not stamp_text.lstrip("-").isdigit() or len(stamp_text) != 6:
+        if not stamp_text.isdecimal() or len(stamp_text) != 6:  # isdigit() also takes '²'
             raise ParseError(f"date column must hold YYYYMM integers, got {stamp_text!r}", row=lineno)
-        stamp = _to_yyyymm(int(stamp_text))
+        stamp = month_stamp(int(stamp_text), row=lineno)
         if (lo is not None and stamp < lo) or (hi is not None and stamp > hi):
             continue
         values: list[float] = []
@@ -228,7 +223,8 @@ def describe(panel: ReturnsPanel) -> DescriptiveStats:
     off = corr[~np.eye(panel.p, dtype=bool)]
     means = panel.returns.mean(axis=0)
     per_asset = [
-        (float(m), float(v), float(m / s)) for m, v, s in zip(means, variances, std)
+        dict(zip(DESCRIBE_COLUMNS, (name, float(m), float(v), float(m / s))))
+        for name, m, v, s in zip(panel.assets, means, variances, std)
     ]
     return DescriptiveStats(
         p=panel.p,
@@ -237,5 +233,4 @@ def describe(panel: ReturnsPanel) -> DescriptiveStats:
         max_corr=float(off.max()),
         mean_abs_corr=float(np.abs(off).mean()),
         per_asset=per_asset,
-        assets=list(panel.assets),
     )

@@ -136,6 +136,33 @@ class TestRunRolling:
                 window_length=12,
             )
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StrategySpec("S-MVP", "sample", rho=0.4),
+            lambda: StrategySpec("EW-MVP", "equal", rho=0.0),
+            lambda: StrategySpec("Ridge-MVP", "qml_l2", rho=0.4, alpha=0.3),
+            lambda: RollingConfig(strategies=(), window_length=30.0),
+            lambda: RollingConfig(strategies=(), window_length="30"),
+            lambda: RollingConfig(strategies=(), window_length=True),
+        ],
+        ids=[
+            "rho-on-sample",
+            "rho-on-equal",
+            "alpha-on-ridge",
+            "window-a-float",
+            "window-text",
+            "window-a-boolean",
+        ],
+    )
+    def test_unread_parameter_or_non_integer_window_rejected(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
+    def test_numpy_integer_window_accepted(self):
+        config = RollingConfig(strategies=(), window_length=np.int64(30))
+        assert config.window_length == 30
+
     def test_panel_shorter_than_window_rejected(self, rng):
         panel = make_panel(synth_returns(10, 3, rng))
         config = RollingConfig(strategies=(StrategySpec("EW", "equal"),), window_length=12)

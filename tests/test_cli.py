@@ -9,8 +9,9 @@ import pytest
 import yaml
 
 from conftest import panel_csv, synth_returns
+from precis import parse_panel
 from precis.cli import load_config, main
-from precis.errors import ConfigError
+from precis.errors import ConfigError, ParseError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -460,6 +461,56 @@ def test_malformed_config_value_is_a_config_error(workspace, capsys, change, key
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
     assert not (root / "out").exists()
+
+
+# One month rule serves parse_panel's date_range and the config's. Each
+# rejected spec used to be read as some month, or passed the config unread.
+@pytest.mark.parametrize(
+    "spec, stamp",
+    [
+        (True, None),
+        (-88, None),
+        (97307, None),
+        (19901, None),
+        ("199013", None),
+        ("-199001", None),
+        (199001.0, None),
+        ("1973-07", 197307),
+        ("197307", 197307),
+        (197307, 197307),
+        (np.int64(197307), 197307),
+    ],
+    ids=[
+        "boolean",
+        "negative",
+        "five-digit",
+        "five-digit-month",
+        "month-13",
+        "negative-text",
+        "float",
+        "dashed-text",
+        "text",
+        "int",
+        "numpy-int",
+    ],
+)
+def test_month_spec_is_read_alike_by_panel_and_config(workspace, spec, stamp):
+    root, config = workspace
+    text = "date,A,B\n197306,1.0,2.0\n197307,2.0,1.0\n197308,0.5,0.5\n"
+    raw = yaml.safe_load(config.read_text())
+    # YAML has no numpy integers; the config gets the same value as a plain int
+    raw["datasets"][0]["date_range"] = [spec.item() if isinstance(spec, np.generic) else spec, None]
+    config.write_text(yaml.safe_dump(raw))
+    if stamp is None:
+        with pytest.raises(ParseError):
+            parse_panel(text, date_range=(spec, None))
+        (root / "toy.csv").unlink()  # the config error comes before any dataset file is read
+        with pytest.raises(ConfigError, match="dataset 'toy' date_range"):
+            load_config(config)
+    else:
+        assert parse_panel(text, date_range=(spec, None)).dates[0] == stamp
+        loaded = load_config(config).datasets[0].date_range
+        assert parse_panel(text, date_range=loaded).dates[0] == stamp
 
 
 @pytest.mark.parametrize("command", ["tune", "backtest"])

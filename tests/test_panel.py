@@ -84,9 +84,12 @@ class TestParse:
             assert err.value.row == 3
 
     def test_non_yyyymm_dates_rejected(self):
-        text = "date,A,B\n1973-07-31,1.0,2.0\n"
-        with pytest.raises(ParseError):
-            parse_panel(text)
+        # -00088 passed a six-character test and read as month 12 of year -1;
+        # 19900² passed isdigit() and then crashed int()
+        for cell in ("1973-07-31", "-00088", "19900\u00b2"):
+            with pytest.raises(ParseError) as err:
+                parse_panel(f"date,A,B\n{cell},1.0,2.0\n")
+            assert err.value.row == 2
 
     def test_gap_in_months_rejected(self):
         text = csv_text([(197307, 1, 1, 1), (197309, 1, 1, 1), (197310, 1, 1, 1)])
@@ -151,10 +154,9 @@ class TestDescribe:
         stats = describe(make_panel(returns))
         assert stats.p == 2 and stats.n == 3
         assert stats.dim_ratio == 2 / 3
-        mean0, var0, sharpe0 = stats.per_asset[0]
-        assert mean0 == pytest.approx(2.0)
-        assert var0 == pytest.approx(1.0)
-        assert sharpe0 == pytest.approx(2.0)
+        assert stats.per_asset[0] == pytest.approx(
+            {"asset": "A00", "mean": 2.0, "variance": 1.0, "sharpe": 2.0}
+        )
 
     def test_duplicated_column_hits_max_corr_one(self, rng):
         base = rng.normal(size=12)
@@ -187,7 +189,7 @@ class TestDescribe:
         returns = synth_returns(30, 5, gen)
         perm = gen.permutation(5)
         stats = describe(make_panel(returns))
-        permuted = describe(make_panel(returns[:, perm]))
+        permuted = describe(make_panel(returns[:, perm], assets=[f"A{j:02d}" for j in perm]))
         assert permuted.max_corr == pytest.approx(stats.max_corr, abs=1e-12)
         assert permuted.mean_abs_corr == pytest.approx(stats.mean_abs_corr, abs=1e-12)
         for k, j in enumerate(perm):
