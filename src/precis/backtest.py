@@ -20,12 +20,15 @@ from .errors import (
     ConfigError,
     InsufficientDataError,
     PrecisError,
+    TuningError,
     UndefinedMetricError,
+    failure,
 )
 from .estimators import (
     PenaltySpec,
     SolverOptions,
     ledoit_wolf,
+    ledoit_wolf_intensity,
     pca_precision,
     penalized_qml,
     sample_precision,
@@ -162,7 +165,7 @@ class StrategyRun:
     n_windows: int
     records: list[WindowRecord] = field(default_factory=list)
     failures: list[tuple[int, str]] = field(default_factory=list)
-    tuned_rho: float | None = None
+    rho: float | None = None  # the rho every window is fit at: the spec's or the tuned one
     tuning_curve: list[tuple[float, float]] | None = None
 
     @property
@@ -183,7 +186,6 @@ def _window_weights(
     window: np.ndarray,
     s: np.ndarray,
     decomp: EigenDecomposition,
-    rho: float | None,
     window_id: int,
     realized: np.ndarray,
     solver: SolverOptions,
@@ -209,11 +211,11 @@ def _window_weights(
         if spec.kind == "sample":
             estimate = sample_precision(decomp)
         elif spec.kind == "ledoit_wolf":
-            estimate = ledoit_wolf(decomp, window=window)
+            estimate = ledoit_wolf(decomp, ledoit_wolf_intensity(window))
         elif spec.kind == "pca":
             estimate = pca_precision(decomp)
         else:
-            penalty = PenaltySpec(kind=spec.penalty_kind, rho=float(rho), alpha=spec.alpha)
+            penalty = PenaltySpec(kind=spec.penalty_kind, rho=float(run.rho), alpha=spec.alpha)
             estimate = penalized_qml(s, window.shape[0], penalty, solver)
             converged = estimate.converged
             off = estimate.psi[~np.eye(p, dtype=bool)]
@@ -254,9 +256,9 @@ def tune_strategies(
     try:
         tuned = tune_rho(panel.returns[:t_len], penalties, config.tuning_grid, config.solver)
     except PrecisError as exc:  # a bad block or grid fails every spec alike
-        tuned, error = [(None, None)] * len(specs), f"{type(exc).__name__}: {exc}"
+        tuned, error = [(None, None)] * len(specs), failure(exc)
     else:
-        error = "TuningError: every grid point failed to produce a converged estimate"
+        error = failure(TuningError("every grid point failed to produce a converged estimate"))
     for spec, (rho, _) in zip(specs, tuned):
         if rho is None:
             logger.warning("strategy %s: tuning failed (%s)", spec.name, error)
@@ -284,30 +286,28 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
     n_windows = n - t_len
 
     runs: dict[str, StrategyRun] = {}
-    live: list[tuple[StrategyRun, float | None]] = []  # the runs to fit, with their rho
+    live: list[StrategyRun] = []  # the runs to fit
     for spec in config.strategies:
-        run = runs[spec.name] = StrategyRun(spec=spec, n_windows=n_windows)
-        rho = spec.rho
+        run = runs[spec.name] = StrategyRun(spec=spec, n_windows=n_windows, rho=spec.rho)
         if spec in tuned:
-            rho, run.tuning_curve, failure = tuned[spec]
-            if failure is not None:
-                run.failures.extend((t, failure) for t in range(t_len, n))
+            run.rho, run.tuning_curve, error = tuned[spec]
+            if error is not None:
+                run.failures.extend((t, error) for t in range(t_len, n))
                 continue
-            run.tuned_rho = rho
-        live.append((run, rho))
+        live.append(run)
     for t in range(t_len, n) if live else ():
         window = panel.returns[t - t_len : t]
         s = sample_covariance(window)
         decomp = sym_eigen(s)
         realized = panel.returns[t]
-        for run, rho in live:
+        for run in live:
             try:
-                record = _window_weights(run, window, s, decomp, rho, t, realized, config.solver)
+                record = _window_weights(run, window, s, decomp, t, realized, config.solver)
             except PrecisError as exc:
-                run.failures.append((t, f"{type(exc).__name__}: {exc}"))
+                run.failures.append((t, failure(exc)))
                 continue
             run.records.append(record)
-    for run, _ in live:
+    for run in live:
         if not run.available:
             logger.warning("strategy %s failed on every window; marked unavailable", run.spec.name)
     return runs
@@ -481,8 +481,8 @@ def build_report(
                 n_windows=run.n_windows,
                 n_success=run.n_success,
                 n_failed=len(run.failures),
-                rho=run.tuned_rho if run.tuned_rho is not None else spec.rho,
-                tuned=run.tuned_rho is not None,
+                rho=run.rho,
+                tuned=spec.rho is None and run.rho is not None,
                 oos_mean=_defined(oos_mean, run),
                 oos_variance=_defined(oos_variance, run),
                 sharpe=_defined(oos_sharpe, run),

@@ -35,7 +35,7 @@ from .backtest import (
     run_rolling,
     tune_strategies,
 )
-from .errors import ConfigError, MulticollinearityError, ParseError, PrecisError
+from .errors import ConfigError, MulticollinearityError, ParseError, PrecisError, failure
 from .estimators import SolverOptions
 from .hedge import ols_hedge
 from .panel import DESCRIBE_COLUMNS, ReturnsPanel, describe, forward_fill, month_stamp, parse_panel
@@ -290,7 +290,7 @@ def _each_dataset(config: RunConfig, compute) -> list:
         try:
             results.append((ds, compute(ds, _load_panel(ds))))
         except PrecisError as exc:
-            raise PrecisError(f"dataset {ds.name!r}: {type(exc).__name__}: {exc}") from exc
+            raise PrecisError(f"dataset {ds.name!r}: {failure(exc)}") from exc
     return results
 
 
@@ -318,12 +318,12 @@ def cmd_tune(config: RunConfig) -> int:
     summary: dict[str, dict[str, float | None]] = {}
     for ds, tuned in results:
         summary[ds.name] = {}
-        for spec, (rho_star, curve, failure) in zip(penalized, tuned):
+        for spec, (rho_star, curve, error) in zip(penalized, tuned):
             # a failed tuning is report content: a null rho*, exit code 0
             summary[ds.name][spec.name] = rho_star
             if curve is not None:
                 _write_curve(config.out_dir, ds.name, spec.name, curve)
-            status = f"rho*={rho_star}" if failure is None else f"no rho* ({failure})"
+            status = f"rho*={rho_star}" if error is None else f"no rho* ({error})"
             print(f"{ds.name} {spec.name}: {status}")
     atomic_write(config.out_dir / "tune.json", dump_json(summary))
     return 0
@@ -352,7 +352,7 @@ def cmd_diagnose(config: RunConfig) -> int:
         try:
             regressions = [ols_hedge(panel.returns, i) for i in range(panel.p)]
         except MulticollinearityError as exc:
-            return [f"{ds.name}: {type(exc).__name__}: {exc}"]
+            return [f"{ds.name}: {failure(exc)}"]
         lines = [f"{ds.name} (n={panel.n}, p={panel.p})"]
         for name, reg in zip(panel.assets, regressions):
             beta_max = float(np.abs(reg.betas).max()) if reg.betas.size else 0.0

@@ -1,6 +1,11 @@
 """Exception hierarchy shared across the package."""
 
 
+def failure(exc: Exception) -> str:
+    """The "ErrorType: message" text under which reports record a failure."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 class PrecisError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -2,7 +2,9 @@
 
 Four families: the plain sample inverse, Ledoit-Wolf shrinkage toward a
 scaled identity, a PCA truncation, and penalized quasi-maximum-likelihood
-with l1 / l2 / elastic-net penalties on the off-diagonal entries.
+with l1 / l2 / elastic-net penalties on the off-diagonal entries. The first
+three take the EigenDecomposition of the window's sample covariance, and
+Ledoit-Wolf its intensity too (ledoit_wolf_intensity, from the raw window).
 
 The penalized problem maximizes, over symmetric positive definite psi,
 
@@ -41,7 +43,6 @@ from .linalg import (
     check_symmetric,
     invert_spd,
     sample_covariance,
-    sym_eigen,
     symmetrize,
 )
 
@@ -117,9 +118,8 @@ class PrecisionEstimate:
     spectrum: EigenDecomposition | None = None  # of the covariance estimate psi inverts
 
 
-def sample_precision(s: np.ndarray | EigenDecomposition) -> PrecisionEstimate:
-    """Directly invert the sample covariance (or its spectrum); fails on singular windows."""
-    decomp = s if isinstance(s, EigenDecomposition) else sym_eigen(s)
+def sample_precision(decomp: EigenDecomposition) -> PrecisionEstimate:
+    """Directly invert the sample covariance from its spectrum; fails on singular windows."""
     return PrecisionEstimate(psi=invert_spd(decomp), spectrum=decomp)
 
 
@@ -148,23 +148,16 @@ def ledoit_wolf_intensity(window: np.ndarray) -> float:
     return min(max(b2, 0.0) / d2, 1.0)
 
 
-def ledoit_wolf(
-    s: np.ndarray | EigenDecomposition, alpha: float | None = None, *, window: np.ndarray | None = None
-) -> PrecisionEstimate:
+def ledoit_wolf(decomp: EigenDecomposition, alpha: float) -> PrecisionEstimate:
     """Precision from the shrunk covariance (1 - alpha) S + alpha sigma2bar I.
 
-    s is S or its EigenDecomposition, whose eigenvectors the shrunk matrix
-    keeps; sigma2bar, the mean of diag S, is its mean eigenvalue. An omitted
-    alpha comes from the analytic optimal-intensity estimator on the raw window.
+    decomp is S's spectrum, whose eigenvectors the shrunk matrix keeps;
+    sigma2bar, the mean of diag S, is its mean eigenvalue. The backtest
+    takes alpha from ledoit_wolf_intensity on the raw window.
     """
-    decomp = s if isinstance(s, EigenDecomposition) else sym_eigen(s)
     sigma2bar = float(np.mean(decomp.eigenvalues))
     if sigma2bar <= 0:
         raise DegenerateMatrixError("average variance is zero; nothing to shrink toward")
-    if alpha is None:
-        if window is None:
-            raise ValueError("either a fixed alpha or the raw window is required")
-        alpha = ledoit_wolf_intensity(window)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"shrinkage intensity must lie in [0, 1], got {alpha}")
     lam = (1.0 - alpha) * decomp.eigenvalues + alpha * sigma2bar
@@ -172,18 +165,17 @@ def ledoit_wolf(
     return PrecisionEstimate(invert_spd(shrunk), spectrum=shrunk)
 
 
-def pca_precision(s: np.ndarray | EigenDecomposition, threshold: float = 0.99) -> PrecisionEstimate:
+def pca_precision(decomp: EigenDecomposition, threshold: float = 0.99) -> PrecisionEstimate:
     """Precision V_k diag(1/lambda_k) V_k' from the leading principal components.
 
     k is the fewest components that explain >= threshold of the variance of
-    s, the sample covariance or its EigenDecomposition. The estimate's
+    the sample covariance S whose spectrum is decomp. The estimate's
     spectrum is S's with the p - k dropped eigenvalues set to 0: the rank-k
     covariance that psi pseudo-inverts, so its condition number is infinite
     unless every component is kept.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    decomp = s if isinstance(s, EigenDecomposition) else sym_eigen(s)
     lam = decomp.eigenvalues[::-1]
     vecs = decomp.eigenvectors[:, ::-1]
     positive = np.maximum(lam, 0.0)
@@ -209,16 +201,20 @@ def pca_precision(s: np.ndarray | EigenDecomposition, threshold: float = 0.99) -
 # Penalized QML
 # --------------------------------------------------------------------------
 
-def _optimality_residual(
-    psi: np.ndarray, w: np.ndarray, s: np.ndarray, lam1: float, lam2: float
-) -> float:
+def _optimality_residual(psi: np.ndarray, s: np.ndarray, lam1: float, lam2: float) -> float:
     """Max entrywise distance of the gradient from the penalty subdifferential.
 
-    w must be the inverse of psi. Diagonal entries are unpenalized, so their
-    residual is just |w_ii - s_ii|; off-diagonals subtract the l2 gradient
-    and measure distance to lam1 * [-1, 1] at zeros.
+    The smooth gradient is psi^-1 - S, with psi^-1 from psi's Cholesky factor;
+    a psi that is not positive definite has residual inf. Diagonal entries are
+    unpenalized, so their residual is the gradient's magnitude; off-diagonals
+    subtract the l2 gradient and measure distance to lam1 * [-1, 1] at zeros.
     """
-    grad = w - s
+    chol, info = lapack.dpotrf(psi, lower=True)
+    if info == 0:  # L^-1 by dtrtri: dpotri runs many times slower under multithreaded OpenBLAS
+        half, info = lapack.dtrtri(chol, lower=True)
+    if info != 0:
+        return np.inf
+    grad = symmetrize(half.T @ half) - s
     off_grad = grad - 2.0 * lam2 * psi
     dist = np.where(
         psi != 0.0,
@@ -227,18 +223,6 @@ def _optimality_residual(
     )
     np.fill_diagonal(dist, np.abs(np.diagonal(grad)))
     return float(dist.max())
-
-
-def _chol_inverse(psi: np.ndarray) -> np.ndarray | None:
-    """Inverse of psi from its Cholesky factor; None when psi is not positive definite."""
-    chol, info = lapack.dpotrf(psi, lower=True)
-    if info != 0:
-        return None
-    # L^-1 by triangular inversion: dpotri runs many times slower under multithreaded OpenBLAS
-    half, info = lapack.dtrtri(chol, lower=True)
-    if info != 0:
-        return None
-    return symmetrize(half.T @ half)
 
 
 def _solve_admm(
@@ -280,8 +264,7 @@ def _solve_admm(
         z_new = np.sign(v) * np.maximum(np.abs(v) - kappa1 / rho, 0.0) / (1.0 + kappa2 / rho)
         u_new = v - z_new
         psi = z_new / dd
-        w = _chol_inverse(psi)
-        residual = np.inf if w is None else _optimality_residual(psi, w, s, lam1, lam2)
+        residual = _optimality_residual(psi, s, lam1, lam2)
         if residual <= tol:
             return psi, it, True, residual
         primal = np.linalg.norm(theta - z_new)
@@ -309,7 +292,7 @@ def _solve_admm(
             except np.linalg.LinAlgError:
                 dg, df = [], []
         z, u = symmetrize(x[: p * p].reshape(p, p)), symmetrize(x[p * p :].reshape(p, p))
-    if w is None:
+    if residual == np.inf:
         psi = theta / dd  # positive definite by construction
     return psi, max_iter, False, residual
 
@@ -345,8 +328,7 @@ def penalized_qml(
         )
     else:  # the unpenalized maximizer is the plain inverse; a singular s raises here
         psi, iterations = invert_spd(s), 0
-        w = _chol_inverse(psi)
-        residual = np.inf if w is None else _optimality_residual(psi, w, s, 0.0, 0.0)
+        residual = _optimality_residual(psi, s, 0.0, 0.0)
         converged = residual <= opts.tol * scale
     residual /= scale
     if not converged:

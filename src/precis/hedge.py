@@ -60,6 +60,23 @@ def _split_design(window: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     return y, x
 
 
+def _regression(
+    i: int, y: np.ndarray, resid: np.ndarray, betas: np.ndarray, intercept: float, dof: int
+) -> HedgeRegression:
+    """The fit of asset i with returns y: residual sums and the perfect-hedge flag."""
+    rss = float(resid @ resid)
+    tss = float(np.sum((y - y.mean()) ** 2))
+    return HedgeRegression(
+        target_index=i,
+        betas=betas,
+        intercept=float(intercept),
+        unhedgeable_variance=rss / dof,
+        rss=rss,
+        nobs=len(y),
+        degenerate=rss <= DEGENERATE_RSS_RTOL * max(tss, 1e-300),
+    )
+
+
 def ols_hedge(window: np.ndarray, i: int) -> HedgeRegression:
     """OLS hedge regression of asset i on the other columns plus an intercept.
 
@@ -82,23 +99,12 @@ def ols_hedge(window: np.ndarray, i: int) -> HedgeRegression:
             f"design for asset {i} is rank deficient; dependent columns {names}",
             dependent_columns=names,
         )
-    resid = y - design @ coef
-    rss = float(resid @ resid)
-    tss = float(np.sum((y - y.mean()) ** 2))
     dof = n - window.shape[1]
     if dof <= 0:
         raise MulticollinearityError(
             f"need more observations than assets for OLS hedges (n={n}, p={window.shape[1]})"
         )
-    return HedgeRegression(
-        target_index=i,
-        betas=coef[1:],
-        intercept=float(coef[0]),
-        unhedgeable_variance=rss / dof,
-        rss=rss,
-        nobs=n,
-        degenerate=rss <= DEGENERATE_RSS_RTOL * max(tss, 1e-300),
-    )
+    return _regression(i, y, y - design @ coef, coef[1:], coef[0], dof)
 
 
 def precision_from_hedges(regressions: list[HedgeRegression]) -> np.ndarray:
@@ -206,16 +212,6 @@ def lasso_hedge(
         )
 
     betas_orig = betas / norms
-    resid_orig = y - (x @ betas_orig + (y.mean() - betas_orig @ x_means))
-    rss = float(resid_orig @ resid_orig)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    dof = max(n - window.shape[1], 1)
-    return HedgeRegression(
-        target_index=i,
-        betas=betas_orig,
-        intercept=float(y.mean() - betas_orig @ x_means),
-        unhedgeable_variance=rss / dof,
-        rss=rss,
-        nobs=n,
-        degenerate=rss <= DEGENERATE_RSS_RTOL * max(tss, 1e-300),
-    )
+    intercept = y.mean() - betas_orig @ x_means
+    resid = y - (x @ betas_orig + intercept)
+    return _regression(i, y, resid, betas_orig, intercept, max(n - window.shape[1], 1))

@@ -54,7 +54,7 @@ class ReturnsPanel:
     forward_fill the mask is preserved for audit while the values are filled.
     """
 
-    dates: np.ndarray          # int64 YYYYMM stamps, strictly increasing monthly
+    dates: np.ndarray          # int64 month_stamp months, strictly increasing monthly
     assets: list[str]
     returns: np.ndarray        # n x p, percent units
     missing_mask: np.ndarray   # n x p bool, True where the source was missing
@@ -65,9 +65,10 @@ class ReturnsPanel:
             raise InsufficientDataError(f"panel must be at least 2 x 2, got {n} x {p}")
         if len(self.dates) != n or len(self.assets) != p or self.missing_mask.shape != (n, p):
             raise ParseError("inconsistent panel dimensions")
-        dates = np.asarray(self.dates)
+        dates = np.asarray([month_stamp(d) for d in self.dates], dtype=np.int64)
         if np.any(np.diff(dates // 100 * 12 + dates % 100) != 1):  # consecutive month indices
             raise ParseError("dates must be strictly increasing with monthly cadence")
+        object.__setattr__(self, "dates", dates)
         if not np.all(np.isfinite(self.returns[~self.missing_mask])):
             raise ParseError("non-missing cells must be finite")
 

@@ -39,6 +39,7 @@ from precis import (
     run_rolling,
     sample_covariance,
     soft_threshold,
+    sym_eigen,
     turnover,
 )
 from precis.cli import main
@@ -195,7 +196,7 @@ def test_criterion_06_ledoit_wolf_spectral_map():
         lam = np.linalg.eigvalsh(s)
         sigma2 = np.diag(s).mean()
         for alpha in (0.1, 0.5, 0.9):
-            est = ledoit_wolf(s, alpha=alpha)
+            est = ledoit_wolf(sym_eigen(s), alpha=alpha)
             shrunk_lam = np.sort(1.0 / np.linalg.eigvalsh(est.psi))
             expected = np.sort((1.0 - alpha) * lam + alpha * sigma2)
             scale = max(1.0, float(np.abs(expected).max()))

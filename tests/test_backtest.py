@@ -23,6 +23,7 @@ from precis import (
     sample_covariance,
     sample_precision,
     sparsity,
+    sym_eigen,
     turnover,
     weight_distribution,
 )
@@ -126,7 +127,7 @@ class TestRunRolling:
             tuning_grid=(0.0, 0.5, 1.0),
         )
         run = run_rolling(panel, config)["Glasso-MVP"]
-        assert run.tuned_rho in (0.0, 0.5, 1.0)
+        assert run.rho in (0.0, 0.5, 1.0)
         assert [r for r, _ in run.tuning_curve] == [0.0, 0.5, 1.0]
 
     def test_duplicate_strategy_names_rejected(self):
@@ -249,9 +250,9 @@ def _rebuilt_record(spec, rows):
             lam = np.linalg.eigvalsh(s)[::-1]
             k = int(np.argmax(np.cumsum(lam) >= PCA_SHARE * lam.sum())) + 1
             cond = condition_number(s) if k == len(lam) else np.inf
-            return mvp_weights(pca_precision(s, PCA_SHARE).psi).weights, cond
+            return mvp_weights(pca_precision(sym_eigen(s), PCA_SHARE).psi).weights, cond
         if spec.kind == "sample":
-            psi = sample_precision(s).psi
+            psi = sample_precision(sym_eigen(s)).psi
         else:  # Ledoit-Wolf, shrunk as a dense matrix
             alpha = ledoit_wolf_intensity(rows)
             psi = invert_spd((1 - alpha) * s + alpha * np.diag(s).mean() * np.eye(s.shape[0]))

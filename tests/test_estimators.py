@@ -62,37 +62,37 @@ class TestSolverOptions:
 
 class TestSamplePrecision:
     def test_identity(self):
-        est = sample_precision(np.eye(3))
+        est = sample_precision(sym_eigen(np.eye(3)))
         assert np.allclose(est.psi, np.eye(3))
 
     def test_diagonal(self):
-        est = sample_precision(np.diag([2.0, 5.0]))
+        est = sample_precision(sym_eigen(np.diag([2.0, 5.0])))
         assert np.allclose(est.psi, np.diag([0.5, 0.2]))
 
     def test_wide_window_raises(self, rng):
         s = sample_covariance(rng.normal(size=(120, 132)))
         with pytest.raises(SingularMatrixError):
-            sample_precision(s)
+            sample_precision(sym_eigen(s))
 
 
 class TestLedoitWolf:
     def test_full_shrinkage_hits_identity_target(self, rng):
         s = rand_spd(5, rng)
         sigma2 = np.diag(s).mean()
-        est = ledoit_wolf(s, alpha=1.0)
+        est = ledoit_wolf(sym_eigen(s), alpha=1.0)
         assert np.allclose(est.psi, np.eye(5) / sigma2)
 
     def test_zero_shrinkage_is_sample_inverse(self, rng):
         s = rand_spd(5, rng)
-        est = ledoit_wolf(s, alpha=0.0)
-        assert np.allclose(est.psi, sample_precision(s).psi)
+        est = ledoit_wolf(sym_eigen(s), alpha=0.0)
+        assert np.allclose(est.psi, sample_precision(sym_eigen(s)).psi)
 
     def test_eigenvalues_follow_affine_map(self, rng):
         s = rand_spd(8, rng, cond=80.0)
         lam = np.linalg.eigvalsh(s)
         sigma2 = np.diag(s).mean()
         for alpha in (0.1, 0.5, 0.9):
-            est = ledoit_wolf(s, alpha=alpha)
+            est = ledoit_wolf(sym_eigen(s), alpha=alpha)
             shrunk_lam = np.sort(1.0 / np.linalg.eigvalsh(est.psi))
             assert np.allclose(shrunk_lam, np.sort((1 - alpha) * lam + alpha * sigma2), atol=1e-8)
 
@@ -101,31 +101,24 @@ class TestLedoitWolf:
             gen = np.random.default_rng(seed)
             s = rand_spd(6, gen, cond=1 + 400 * gen.random())
             for alpha in (0.1, 0.5, 0.9):
-                est = ledoit_wolf(s, alpha=alpha)
+                est = ledoit_wolf(sym_eigen(s), alpha=alpha)
                 assert condition_number(invert_spd(est.psi)) <= condition_number(s) * (1 + 1e-10)
-
-    def test_analytic_intensity_needs_window(self, rng):
-        with pytest.raises(ValueError):
-            ledoit_wolf(rand_spd(4, rng))
 
     def test_analytic_intensity_in_unit_interval(self, rng):
         window = synth_returns(60, 8, rng)
         alpha = ledoit_wolf_intensity(window)
         assert 0.0 < alpha < 1.0
-        s = sample_covariance(window)
-        est = ledoit_wolf(s, window=window)
-        assert np.array_equal(est.psi, ledoit_wolf(s, alpha=alpha).psi)
 
     def test_singular_covariance_still_invertible(self, rng):
         window = rng.normal(size=(10, 20))
         s = sample_covariance(window)
-        est = ledoit_wolf(s, alpha=0.3)
+        est = ledoit_wolf(sym_eigen(s), alpha=0.3)
         assert np.all(np.isfinite(est.psi))
         assert np.linalg.eigvalsh(est.psi)[0] > 0
 
     def test_zero_diagonal_rejected(self):
         with pytest.raises(DegenerateMatrixError):
-            ledoit_wolf(np.zeros((3, 3)), alpha=0.5)
+            ledoit_wolf(sym_eigen(np.zeros((3, 3))), alpha=0.5)
 
     @pytest.mark.parametrize("n,p,scaled", [(60, 8, False), (20, 30, False), (60, 8, True)])
     def test_closed_form_intensity_matches_outer_product_sum(self, rng, n, p, scaled):
@@ -142,13 +135,14 @@ class TestLedoitWolf:
         assert ledoit_wolf_intensity(x) == pytest.approx(b2 / d2, rel=1e-12, abs=0.0)
 
     def test_spectrum_input_matches_matrix_input(self, rng):
+        # oracle: the shrunk covariance built and inverted as a dense matrix
         window = synth_returns(40, 6, rng)
         s = sample_covariance(window)
-        from_matrix = ledoit_wolf(s, window=window)
-        from_spectrum = ledoit_wolf(sym_eigen(s), window=window)
-        assert np.allclose(from_spectrum.psi, from_matrix.psi, rtol=1e-12, atol=0.0)
         alpha = ledoit_wolf_intensity(window)
+        from_spectrum = ledoit_wolf(sym_eigen(s), alpha)
         shrunk = (1 - alpha) * s + alpha * np.diag(s).mean() * np.eye(6)
+        from_matrix = np.linalg.inv(shrunk)
+        assert np.allclose(from_spectrum.psi, from_matrix, rtol=1e-12, atol=0.0)
         assert condition_number(from_spectrum.spectrum) == pytest.approx(
             np.linalg.cond(shrunk), rel=1e-10
         )
@@ -161,7 +155,7 @@ class TestPcaPrecision:
         return int(np.count_nonzero(est.spectrum.eigenvalues))
 
     def test_dominant_component_selected(self):
-        est = pca_precision(np.diag([4.0, 0.01]), threshold=0.99)
+        est = pca_precision(sym_eigen(np.diag([4.0, 0.01])), threshold=0.99)
         assert self.kept(est) == 1
         assert np.allclose(est.psi, np.diag([0.25, 0.0]))
         assert np.allclose(est.spectrum.reconstruct(), np.diag([4.0, 0.0]))
@@ -169,7 +163,7 @@ class TestPcaPrecision:
 
     def test_equal_shares_force_all_components(self):
         s = np.eye(3) * (4.0 / 3.0)
-        est = pca_precision(s, threshold=0.99)
+        est = pca_precision(sym_eigen(s), threshold=0.99)
         assert self.kept(est) == 3
         assert np.allclose(est.psi, np.eye(3) * 0.75)
 
@@ -180,7 +174,7 @@ class TestPcaPrecision:
         loadings = rng.normal(size=(p, 3))
         factors = rng.normal(size=(120, 3))
         s = sample_covariance(factors @ loadings.T + np.sqrt(0.05) * rng.normal(size=(120, p)))
-        est = pca_precision(s, threshold=0.99)
+        est = pca_precision(sym_eigen(s), threshold=0.99)
         k = self.kept(est)
         assert k < p
         lam = np.sort(np.linalg.eigvalsh(s))[::-1]
@@ -191,32 +185,35 @@ class TestPcaPrecision:
         assert np.allclose(est.psi, np.linalg.pinv(low_rank, rcond=1e-10), atol=1e-10)
 
     def test_spectrum_input_matches_matrix_input(self, rng):
+        # oracle: V_k diag(1/lambda_k) V_k' from numpy's eigh of S, largest first
         s = sample_covariance(synth_returns(60, 9, rng))
+        lam, vecs = np.linalg.eigh(s)
+        lam, vecs = lam[::-1], vecs[:, ::-1]
         for threshold in (0.5, 0.9, 1.0):
-            from_matrix = pca_precision(s, threshold)
+            k = int(np.argmax(np.cumsum(lam) >= threshold * lam.sum())) + 1
+            from_matrix = (vecs[:, :k] / lam[:k]) @ vecs[:, :k].T
             from_spectrum = pca_precision(sym_eigen(s), threshold)
-            assert np.array_equal(from_matrix.psi, from_spectrum.psi)
-            assert np.array_equal(
-                from_matrix.spectrum.eigenvalues, from_spectrum.spectrum.eigenvalues
-            )
+            assert np.abs(from_spectrum.psi - from_matrix).max() <= 1e-12 * np.abs(from_matrix).max()
+            kept = np.concatenate([np.zeros(9 - k), lam[:k][::-1]])  # ascending, dropped as 0
+            assert np.allclose(from_spectrum.spectrum.eigenvalues, kept, rtol=1e-12, atol=0.0)
 
     def test_full_threshold_is_the_sample_precision(self, rng):
         s = sample_covariance(synth_returns(60, 9, rng))
-        est = pca_precision(s, threshold=1.0)
+        est = pca_precision(sym_eigen(s), threshold=1.0)
         assert self.kept(est) == 9
-        ref = sample_precision(s).psi
+        ref = sample_precision(sym_eigen(s)).psi
         assert np.abs(est.psi - ref).max() <= 1e-12 * np.abs(ref).max()
         assert condition_number(est.spectrum) == condition_number(s)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateMatrixError):
-            pca_precision(np.zeros((3, 3)))
+            pca_precision(sym_eigen(np.zeros((3, 3))))
 
 
 class TestPenalizedQml:
     def test_rho_zero_equals_sample_inverse_all_kinds(self, rng):
         s = rand_spd(6, rng, cond=30.0)
-        ref = sample_precision(s).psi
+        ref = sample_precision(sym_eigen(s)).psi
         for kind in ("l1", "l2", "elastic"):
             est = penalized_qml(s, 120, PenaltySpec(kind, 0.0), TIGHT)
             assert est.converged

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_panel, month_stamps, synth_returns
-from precis import describe, forward_fill, parse_panel
+from precis import ReturnsPanel, describe, forward_fill, parse_panel
 from precis.errors import (
     DegenerateColumnError,
     EmptyPanelError,
@@ -95,6 +95,22 @@ class TestParse:
         text = csv_text([(197307, 1, 1, 1), (197309, 1, 1, 1), (197310, 1, 1, 1)])
         with pytest.raises(ParseError):
             parse_panel(text)
+
+    def test_panel_dates_must_be_months(self):
+        # month 13 and month 00 sit one month index from their neighbours,
+        # so only a per-stamp month rule rejects them
+        def panel(dates):
+            return ReturnsPanel(
+                dates=dates,
+                assets=["A", "B"],
+                returns=np.ones((2, 2)),
+                missing_mask=np.zeros((2, 2), dtype=bool),
+            )
+
+        for dates in ([199012, 199013], [199100, 199101]):
+            with pytest.raises(ParseError, match="month"):
+                panel(dates)
+        assert list(panel([199012, 199101]).dates) == [199012, 199101]
 
 
 class TestForwardFill:
