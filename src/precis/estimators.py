@@ -14,13 +14,21 @@ with P summing |psi_ij| (l1), psi_ij^2 (l2), or the (1-alpha)/alpha blend
 (elastic) over i != j; the diagonal is never penalized. Internally the
 objective is divided by T/2 (effective penalty weight 2 rho / T), which
 leaves the maximizer unchanged while keeping rho on the scale used for
-grid tuning. One solver covers all three penalties: graphical-lasso ADMM
-with an elementwise elastic-net prox, run on the correlation matrix so that
-its conditioning does not depend on the scale of individual assets, and
-Anderson-accelerated (see _solve_admm). It stops, on the iterate of the plain
-ADMM step, at the first-order optimality residual: the largest entrywise
-distance between the smooth-part gradient and the penalty subdifferential,
-measured on the T/2-normalized objective.
+grid tuning. l1 and elastic run graphical-lasso ADMM with an elementwise
+elastic-net prox, on the correlation matrix so that its conditioning does
+not depend on the scale of individual assets, and Anderson-accelerated (see
+_solve_admm). It stops, on the iterate of the plain ADMM step, at the
+first-order optimality residual: the largest entrywise distance between the
+smooth-part gradient and the penalty subdifferential, measured on the
+T/2-normalized objective.
+
+l2 (and elastic with alpha = 1) reduces exactly to a fixed point in the
+unpenalized diagonal D (see _solve_ridge): for fixed D the optimum is one
+eigendecomposition of S - 2 lam2 Diag(D) with each eigenvalue a mapped to
+the positive root of 2 lam2 phi^2 + a phi - 1 = 0, taken in a form free of
+cancellation. A step stops when both the shared residual test and the
+diagonal gradient on the correlation scale pass; a step that shrinks the
+diagonal's move by less than half hands its iterate to ADMM as a warm start.
 """
 from __future__ import annotations
 
@@ -57,6 +65,9 @@ ADMM_BALANCE = 2.0
 ADMM_RHO_STEP = 4.0
 # Anderson acceleration: the number of residual differences each extrapolation fits.
 ADMM_AA_MEMORY = 5
+# The l2 fixed point hands its iterate to ADMM once a step shrinks the
+# diagonal's move by less than this factor.
+RIDGE_HANDOFF = 0.5
 # Share of the tuning block that fits each grid point; the rest scores it.
 TUNE_FIT_SHARE = 0.75
 
@@ -93,8 +104,11 @@ class SolverOptions:
 
     tol bounds the first-order optimality residual on the T/2-normalized
     objective, measured relative to max(1, max|S_ij|) so the same setting
-    is meaningful for unit-scale matrices and percent-unit return data.
-    max_iter counts ADMM iterations.
+    is meaningful for unit-scale matrices and percent-unit return data;
+    the l2 fixed point must also bring its diagonal gradient on the
+    correlation scale below tol. max_iter bounds the iterations of one
+    solve: ADMM iterations for l1 and elastic, and for l2 its fixed-point
+    steps plus the ADMM iterations of any handoff.
     """
 
     tol: float = 1e-6
@@ -112,7 +126,7 @@ class PrecisionEstimate:
     """An estimated precision matrix plus solver provenance."""
 
     psi: np.ndarray
-    iterations: int = 0
+    iterations: int = 0  # penalized solves: fixed-point steps plus ADMM iterations
     converged: bool = True
     residual: float = 0.0
     spectrum: EigenDecomposition | None = None  # of the covariance estimate psi inverts
@@ -226,7 +240,12 @@ def _optimality_residual(psi: np.ndarray, s: np.ndarray, lam1: float, lam2: floa
 
 
 def _solve_admm(
-    s: np.ndarray, lam1: float, lam2: float, tol: float, max_iter: int
+    s: np.ndarray,
+    lam1: float,
+    lam2: float,
+    tol: float,
+    max_iter: int,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, bool, float]:
     """Graphical-lasso ADMM (Boyd et al. 2011, sec. 6.5) on the correlation matrix.
 
@@ -245,6 +264,9 @@ def _solve_admm(
     psi = Z_new / (d d') at the original scale, Z_new being the prox output,
     never the extrapolated point; an iterate whose Cholesky factorization
     fails is not converged, and a capped solve returns the PD log-det iterate.
+    A cold start is Z = I, U = 0. A PD start psi gives Z = psi * dd' and the U
+    that makes the log-det step return Z itself: from its stationarity
+    -Z^-1 + R + rho (Z - Z + U) = 0, U = (Z^-1 - R) / rho.
     """
     p = s.shape[0]
     d = np.sqrt(np.diag(s))
@@ -253,9 +275,12 @@ def _solve_admm(
     off = ~np.eye(p, dtype=bool)
     kappa1 = np.where(off, lam1 / dd, 0.0)
     kappa2 = np.where(off, 2.0 * lam2 / dd**2, 0.0)
-    z = np.eye(p)
-    u = np.zeros((p, p))
     rho = ADMM_RHO0
+    if start is None:
+        z, u = np.eye(p), np.zeros((p, p))
+    else:
+        z = start * dd
+        u = (symmetrize(np.linalg.inv(z)) - r) / rho
     g_prev, dg, df, f_min = None, [], [], np.inf  # Anderson history since the last reset
     for it in range(1, max_iter + 1):
         e, q = np.linalg.eigh(rho * (z - u) - r)
@@ -297,6 +322,51 @@ def _solve_admm(
     return psi, max_iter, False, residual
 
 
+def _solve_ridge(
+    s: np.ndarray, lam2: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, int, bool, float]:
+    """The l2 problem as a fixed point in its unpenalized diagonal, ADMM as fallback.
+
+    With only off-diagonals penalized, the optimum solves
+    psi^-1 - 2 lam2 psi = S - 2 lam2 Diag(psi). For a fixed diagonal D, write
+    S - 2 lam2 Diag(D) = V diag(a) V'; then psi(D) = V diag(phi) V' with phi
+    the positive root of 2 lam2 phi^2 + a phi - 1 = 0, positive definite by
+    construction (the Frobenius-ridge closed form of van Wieringen & Peeters
+    2016 with target D). The root is taken without cancellation:
+    2 / (a + sqrt(a^2 + 8 lam2)) for a >= 0 and (sqrt(a^2 + 8 lam2) - a) / (4 lam2)
+    below, since the textbook form loses digits when one asset's variance
+    dwarfs the others'. Each step maps D to diag(psi(D)), from D = 1/diag(S),
+    the lam2 -> inf limit. psi(D) is stationary off the diagonal, and its
+    diagonal gradient is 2 lam2 (psi_ii - D_i); a step converges when the
+    optimality residual passes tol and that gradient, on the correlation
+    scale (divided by S_ii), passes tol / max(1, max|S|), the relative tol.
+    The contraction rate 2 lam2 psi^2 / (1 + 2 lam2 psi^2) depends on the
+    data's scale, so when a step's diagonal move is not below RIDGE_HANDOFF
+    times the previous one, psi starts _solve_admm with the remaining budget.
+    """
+    var = np.diag(s)
+    rel_tol = tol / max(1.0, float(np.abs(s).max()))
+    target = 1.0 / var
+    move_prev = np.inf
+    for it in range(1, max_iter + 1):
+        a, v = np.linalg.eigh(s - np.diag(2.0 * lam2 * target))
+        root = np.sqrt(a * a + 8.0 * lam2)
+        phi = np.where(a >= 0.0, 2.0 / (a + root), (root - a) / (4.0 * lam2))
+        psi = symmetrize((v * phi) @ v.T)
+        diag = np.diag(psi)
+        move = float(np.max(np.abs(diag - target) / var))
+        residual = _optimality_residual(psi, s, 0.0, lam2)
+        if residual <= tol and 2.0 * lam2 * move <= rel_tol:
+            return psi, it, True, residual
+        if it < max_iter and move > RIDGE_HANDOFF * move_prev:
+            psi, admm_iters, converged, residual = _solve_admm(
+                s, 0.0, lam2, tol, max_iter - it, start=psi
+            )
+            return psi, it + admm_iters, converged, residual
+        target, move_prev = diag, move
+    return psi, max_iter, False, residual
+
+
 def penalized_qml(
     s: np.ndarray, t: int, penalty: PenaltySpec, opts: SolverOptions | None = None
 ) -> PrecisionEstimate:
@@ -304,9 +374,10 @@ def penalized_qml(
 
     s is the sample covariance of a window of t observations. With rho = 0
     the problem is unconstrained and requires a nonsingular s; its optimum,
-    the plain inverse, is returned with iterations=0 and no ADMM run. Any
+    the plain inverse, is returned with iterations=0 and no solver run. Any
     rho > 0 yields a finite positive definite maximizer even when s is
-    singular, provided its diagonal is positive.
+    singular, provided its diagonal is positive. A problem with no l1 weight
+    (l2, or elastic with alpha = 1) runs _solve_ridge, every other one ADMM.
     A solve that exhausts its iteration budget returns the last iterate
     with converged=False rather than raising.
     """
@@ -322,7 +393,9 @@ def penalized_qml(
     lam1 = rho_eff * l1_share
     lam2 = rho_eff * l2_share
     scale = max(1.0, float(np.abs(s).max()))
-    if penalty.rho > 0.0:
+    if penalty.rho > 0.0 and lam1 == 0.0:
+        psi, iterations, converged, residual = _solve_ridge(s, lam2, opts.tol * scale, opts.max_iter)
+    elif penalty.rho > 0.0:
         psi, iterations, converged, residual = _solve_admm(
             s, lam1, lam2, opts.tol * scale, opts.max_iter
         )

@@ -31,9 +31,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-
 
 def check_symmetric(a: np.ndarray) -> np.ndarray:
     """Validate elementwise symmetry and return the matrix as float64.

@@ -158,7 +158,10 @@ class TestPcaPrecision:
         est = pca_precision(sym_eigen(np.diag([4.0, 0.01])), threshold=0.99)
         assert self.kept(est) == 1
         assert np.allclose(est.psi, np.diag([0.25, 0.0]))
-        assert np.allclose(est.spectrum.reconstruct(), np.diag([4.0, 0.0]))
+        spectrum = est.spectrum
+        assert np.allclose(
+            (spectrum.eigenvectors * spectrum.eigenvalues) @ spectrum.eigenvectors.T, np.diag([4.0, 0.0])
+        )
         assert condition_number(est.spectrum) == np.inf
 
     def test_equal_shares_force_all_components(self):
@@ -180,7 +183,7 @@ class TestPcaPrecision:
         lam = np.sort(np.linalg.eigvalsh(s))[::-1]
         assert lam[:k].sum() >= 0.99 * lam.sum() > lam[: k - 1].sum()  # the fewest that reach it
         # psi is the pseudo-inverse of the rank-k covariance its spectrum holds
-        low_rank = est.spectrum.reconstruct()
+        low_rank = (est.spectrum.eigenvectors * est.spectrum.eigenvalues) @ est.spectrum.eigenvectors.T
         assert np.linalg.matrix_rank(est.psi) == k
         assert np.allclose(est.psi, np.linalg.pinv(low_rank, rcond=1e-10), atol=1e-10)
 
@@ -339,9 +342,9 @@ class TestPenalizedQml:
 
     def test_budget_exhaustion_is_loud_not_fatal(self, rng):
         s = sample_covariance(synth_returns(60, 8, rng))
-        est = penalized_qml(s, 60, PenaltySpec("l2", 0.5), SolverOptions(max_iter=2))
+        est = penalized_qml(s, 60, PenaltySpec("l2", 0.5), SolverOptions(max_iter=1))
         assert not est.converged
-        assert est.iterations == 2
+        assert est.iterations == 1
         assert np.all(np.isfinite(est.psi))
 
     @pytest.mark.parametrize("kind", ["l1", "l2", "elastic"])
@@ -388,6 +391,61 @@ class TestPenalizedQml:
                 est = penalized_qml(s, 36, PenaltySpec(kind, 0.54), SolverOptions(max_iter=max_iter))
                 assert not est.converged
                 assert np.linalg.eigvalsh(est.psi)[0] > 0, (kind, max_iter)
+
+
+def scaled_asset_window():
+    """p = 132, T = 120, with one asset's returns scaled 100x (variance 1e4x)."""
+    returns = synth_returns(120, 132, np.random.default_rng(0))
+    returns[:, 5] *= 100.0
+    return sample_covariance(returns)
+
+
+class TestRidgeFixedPoint:
+    """l2 runs the diagonal fixed point; ADMM is its fallback and its oracle."""
+
+    @pytest.mark.parametrize(
+        "window,t,rho",
+        [
+            (lambda: sample_covariance(synth_returns(36, 40, np.random.default_rng(0))), 36, 0.5),
+            (lambda: sample_covariance(synth_returns(120, 132, np.random.default_rng(0))), 120, 3.0),
+            (lambda: sample_covariance(synth_returns(510, 100, np.random.default_rng(0))[:90]), 90, 0.1),
+            (scaled_asset_window, 120, 0.1),
+        ],
+        ids=["p40-T36", "p132-T120", "p100-fit90", "p132-one-asset-x100"],
+    )
+    def test_matches_tight_admm(self, window, t, rho):
+        s = window()
+        scale = max(1.0, np.abs(s).max())
+        lam2 = 2.0 * rho / t
+        ref, _, converged, _ = estimators._solve_admm(s, 0.0, lam2, 1e-11 * scale, 10_000)
+        assert converged
+        est = penalized_qml(s, t, PenaltySpec("l2", rho))
+        assert est.converged and est.iterations <= 10, est.iterations
+        assert np.abs(est.psi - ref).max() <= 1e-4 * np.abs(ref).max()
+
+    def test_slow_contraction_hands_off_to_admm(self, monkeypatch):
+        # percent-scale returns at rho 3000: the fixed point contracts slowly
+        s = sample_covariance(synth_returns(120, 49, np.random.default_rng(0)))
+        starts = []
+        admm = estimators._solve_admm
+
+        def spy(*args, start=None):
+            starts.append(start)
+            return admm(*args, start=start)
+
+        monkeypatch.setattr(estimators, "_solve_admm", spy)
+        est = penalized_qml(s, 120, PenaltySpec("l2", 3000.0))
+        assert est.converged and est.residual <= SolverOptions().tol
+        assert len(starts) == 1 and starts[0] is not None
+        for max_iter in range(1, 16):  # capped before, at and after the handoff
+            est = penalized_qml(s, 120, PenaltySpec("l2", 3000.0), SolverOptions(max_iter=max_iter))
+            assert not est.converged and est.iterations == max_iter
+            assert np.linalg.eigvalsh(est.psi)[0] > 0, max_iter
+
+    def test_decimal_returns_converge_in_few_steps(self):
+        s = sample_covariance(synth_returns(120, 49, np.random.default_rng(0))) / 1e4
+        est = penalized_qml(s, 120, PenaltySpec("l2", 0.1))
+        assert est.converged and est.iterations <= 5, est.iterations
 
 
 class TestTuneRho:
