@@ -366,6 +366,24 @@ def turnover(run: StrategyRun, panel: ReturnsPanel) -> float:
     return total / pairs
 
 
+def _row_percentiles(stack: np.ndarray, q: float) -> np.ndarray:
+    """Each row's q-th percentile, bit for bit np.percentile(stack, q, axis=1).
+
+    numpy's "linear" rule on the sorted row: at h = (n - 1) q/100, with
+    a, b the entries at floor(h) and the next one and t their fraction,
+    a + (b - a) t, or b - (b - a)(1 - t) when t >= 0.5. np.percentile would
+    call np.unique, which imports numpy.ma on its first use.
+    """
+    ordered = np.sort(stack, axis=1)
+    n = ordered.shape[1]
+    h = (n - 1) * (q / 100)
+    lo = math.floor(h)
+    t = h - lo
+    a, b = ordered[:, lo], ordered[:, min(lo + 1, n - 1)]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def weight_distribution(run: StrategyRun) -> dict[str, float]:
     """Per-window min / 5% / 95% / max / negative share, averaged over windows.
 
@@ -376,8 +394,8 @@ def weight_distribution(run: StrategyRun) -> dict[str, float]:
     stack = np.vstack([rec.weights.weights for rec in run.records])
     return {
         "weight_min": float(stack.min(axis=1).mean()),
-        "weight_p5": float(np.percentile(stack, 5, axis=1).mean()),
-        "weight_p95": float(np.percentile(stack, 95, axis=1).mean()),
+        "weight_p5": float(_row_percentiles(stack, 5).mean()),
+        "weight_p95": float(_row_percentiles(stack, 95).mean()),
         "weight_max": float(stack.max(axis=1).mean()),
         "weight_neg_fraction": float((stack < 0).mean(axis=1).mean()),
     }

@@ -59,10 +59,6 @@ class DegenerateMatrixError(PrecisError):
 class MulticollinearityError(PrecisError):
     """Regression design is rank deficient."""
 
-    def __init__(self, message: str, dependent_columns: list[int] | None = None):
-        self.dependent_columns = dependent_columns or []
-        super().__init__(message)
-
 
 class NonconvergenceError(PrecisError):
     """Iteration budget exhausted. ``best`` holds the last iterate when available."""

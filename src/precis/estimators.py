@@ -19,8 +19,11 @@ elastic-net prox, on the correlation matrix so that its conditioning does
 not depend on the scale of individual assets, and Anderson-accelerated (see
 _solve_admm). It stops, on the iterate of the plain ADMM step, at the
 first-order optimality residual: the largest entrywise distance between the
-smooth-part gradient and the penalty subdifferential, measured on the
-T/2-normalized objective.
+smooth-part gradient psi^-1 - S and the penalty subdifferential, measured on
+the T/2-normalized objective. ADMM takes psi^-1 from np.linalg.inv and tests
+positive definiteness (a Cholesky factorization) only where the answer
+decides the outcome; the l2 fixed point below takes it from its own
+eigendecomposition, so this module needs numpy alone.
 
 l2 (and elastic with alpha = 1) reduces exactly to a fixed point in the
 unpenalized diagonal D (see _solve_ridge): for fixed D the optimum is one
@@ -38,7 +41,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     DegenerateMatrixError,
@@ -215,28 +217,52 @@ def pca_precision(decomp: EigenDecomposition, threshold: float = 0.99) -> Precis
 # Penalized QML
 # --------------------------------------------------------------------------
 
-def _optimality_residual(psi: np.ndarray, s: np.ndarray, lam1: float, lam2: float) -> float:
+def _optimality_residual(
+    psi: np.ndarray, inverse: np.ndarray, s: np.ndarray, lam1: float, lam2: float
+) -> float:
     """Max entrywise distance of the gradient from the penalty subdifferential.
 
-    The smooth gradient is psi^-1 - S, with psi^-1 from psi's Cholesky factor;
-    a psi that is not positive definite has residual inf. Diagonal entries are
+    The smooth gradient is psi^-1 - S, with psi^-1 (inverse) from the caller,
+    who also answers for positive definiteness. Diagonal entries are
     unpenalized, so their residual is the gradient's magnitude; off-diagonals
-    subtract the l2 gradient and measure distance to lam1 * [-1, 1] at zeros.
+    subtract the l2 gradient and measure distance to lam1 * [-1, 1] at zeros
+    of psi as |g| - lam1, which may be negative there: the diagonal keeps the
+    maximum nonnegative, so clipping at 0 would not change it.
     """
-    chol, info = lapack.dpotrf(psi, lower=True)
-    if info == 0:  # L^-1 by dtrtri: dpotri runs many times slower under multithreaded OpenBLAS
-        half, info = lapack.dtrtri(chol, lower=True)
-    if info != 0:
-        return np.inf
-    grad = symmetrize(half.T @ half) - s
-    off_grad = grad - 2.0 * lam2 * psi
-    dist = np.where(
-        psi != 0.0,
-        np.abs(off_grad - lam1 * np.sign(psi)),
-        np.maximum(np.abs(off_grad) - lam1, 0.0),
-    )
+    grad = inverse - s
+    off_grad = grad - 2.0 * lam2 * psi if lam2 else grad
+    if lam1:
+        dist = np.where(psi != 0.0, np.abs(off_grad - lam1 * np.sign(psi)), np.abs(off_grad) - lam1)
+    else:
+        dist = np.abs(off_grad)
     np.fill_diagonal(dist, np.abs(np.diagonal(grad)))
     return float(dist.max())
+
+
+def _stopping_residual(
+    psi: np.ndarray, s: np.ndarray, lam1: float, lam2: float, tol: float
+) -> float:
+    """_optimality_residual with psi^-1 from np.linalg.inv, as ADMM and rho = 0 stop on it.
+
+    A singular psi has residual inf, and so does one that passes tol without
+    being positive definite: its Cholesky factorization, the PD test, runs
+    only then, since below tol its answer decides convergence.
+    """
+    try:
+        residual = _optimality_residual(psi, np.linalg.inv(psi), s, lam1, lam2)
+    except np.linalg.LinAlgError:
+        return np.inf
+    if residual <= tol and not _positive_definite(psi):
+        return np.inf
+    return residual
+
+
+def _positive_definite(psi: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(psi)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _solve_admm(
@@ -262,8 +288,9 @@ def _solve_admm(
     twice its least value since the last reset (the safeguard of Zhang,
     O'Donoghue & Boyd 2020). The stopping test is the optimality residual of
     psi = Z_new / (d d') at the original scale, Z_new being the prox output,
-    never the extrapolated point; an iterate whose Cholesky factorization
-    fails is not converged, and a capped solve returns the PD log-det iterate.
+    never the extrapolated point, with psi^-1 from np.linalg.inv; an iterate
+    that is not positive definite is not converged (_stopping_residual), and
+    a capped solve whose last iterate is not PD returns the PD log-det iterate.
     A cold start is Z = I, U = 0. A PD start psi gives Z = psi * dd' and the U
     that makes the log-det step return Z itself: from its stationarity
     -Z^-1 + R + rho (Z - Z + U) = 0, U = (Z^-1 - R) / rho.
@@ -289,7 +316,7 @@ def _solve_admm(
         z_new = np.sign(v) * np.maximum(np.abs(v) - kappa1 / rho, 0.0) / (1.0 + kappa2 / rho)
         u_new = v - z_new
         psi = z_new / dd
-        residual = _optimality_residual(psi, s, lam1, lam2)
+        residual = _stopping_residual(psi, s, lam1, lam2, tol)
         if residual <= tol:
             return psi, it, True, residual
         primal = np.linalg.norm(theta - z_new)
@@ -317,8 +344,8 @@ def _solve_admm(
             except np.linalg.LinAlgError:
                 dg, df = [], []
         z, u = symmetrize(x[: p * p].reshape(p, p)), symmetrize(x[p * p :].reshape(p, p))
-    if residual == np.inf:
-        psi = theta / dd  # positive definite by construction
+    if not _positive_definite(psi):
+        psi, residual = theta / dd, np.inf  # positive definite by construction
     return psi, max_iter, False, residual
 
 
@@ -332,14 +359,15 @@ def _solve_ridge(
     S - 2 lam2 Diag(D) = V diag(a) V'; then psi(D) = V diag(phi) V' with phi
     the positive root of 2 lam2 phi^2 + a phi - 1 = 0, positive definite by
     construction (the Frobenius-ridge closed form of van Wieringen & Peeters
-    2016 with target D). The root is taken without cancellation:
-    2 / (a + sqrt(a^2 + 8 lam2)) for a >= 0 and (sqrt(a^2 + 8 lam2) - a) / (4 lam2)
-    below, since the textbook form loses digits when one asset's variance
-    dwarfs the others'. Each step maps D to diag(psi(D)), from D = 1/diag(S),
-    the lam2 -> inf limit. psi(D) is stationary off the diagonal, and its
-    diagonal gradient is 2 lam2 (psi_ii - D_i); a step converges when the
-    optimality residual passes tol and that gradient, on the correlation
-    scale (divided by S_ii), passes tol / max(1, max|S|), the relative tol.
+    2016 with target D), and the residual reads psi^-1 = V diag(1/phi) V'.
+    The root is taken without cancellation: 2 / (a + sqrt(a^2 + 8 lam2)) for
+    a >= 0 and (sqrt(a^2 + 8 lam2) - a) / (4 lam2) below, since the textbook
+    form loses digits when one asset's variance dwarfs the others'. Each step
+    maps D to diag(psi(D)), from D = 1/diag(S), the lam2 -> inf limit. psi(D)
+    is stationary off the diagonal, and its diagonal gradient is
+    2 lam2 (psi_ii - D_i); a step converges when the optimality residual
+    passes tol and that gradient, on the correlation scale (divided by S_ii),
+    passes tol / max(1, max|S|), the relative tol.
     The contraction rate 2 lam2 psi^2 / (1 + 2 lam2 psi^2) depends on the
     data's scale, so when a step's diagonal move is not below RIDGE_HANDOFF
     times the previous one, psi starts _solve_admm with the remaining budget.
@@ -355,7 +383,7 @@ def _solve_ridge(
         psi = symmetrize((v * phi) @ v.T)
         diag = np.diag(psi)
         move = float(np.max(np.abs(diag - target) / var))
-        residual = _optimality_residual(psi, s, 0.0, lam2)
+        residual = _optimality_residual(psi, (v / phi) @ v.T, s, 0.0, lam2)
         if residual <= tol and 2.0 * lam2 * move <= rel_tol:
             return psi, it, True, residual
         if it < max_iter and move > RIDGE_HANDOFF * move_prev:
@@ -401,7 +429,7 @@ def penalized_qml(
         )
     else:  # the unpenalized maximizer is the plain inverse; a singular s raises here
         psi, iterations = invert_spd(s), 0
-        residual = _optimality_residual(psi, s, 0.0, 0.0)
+        residual = _stopping_residual(psi, s, 0.0, 0.0, opts.tol * scale)
         converged = residual <= opts.tol * scale
     residual /= scale
     if not converged:

@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateColumnError,
@@ -90,14 +89,16 @@ def ols_hedge(window: np.ndarray, i: int) -> HedgeRegression:
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < k + 1:
         # QR with pivoting: columns pivoted past the numerical rank are the
-        # ones expressible in terms of the others.
-        _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+        # ones expressible in terms of the others. scipy is imported here
+        # alone, so that no other path pays for loading it.
+        import scipy.linalg
+
+        _, _, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
         dependent = sorted(piv[rank:])
         others = [j for j in range(window.shape[1]) if j != i]
         names = [others[j - 1] for j in dependent if j >= 1]
         raise MulticollinearityError(
-            f"design for asset {i} is rank deficient; dependent columns {names}",
-            dependent_columns=names,
+            f"design for asset {i} is rank deficient; dependent columns {names}"
         )
     dof = n - window.shape[1]
     if dof <= 0:

@@ -388,8 +388,15 @@ class TestMetrics:
         p5s = [np.percentile(r, 5) for r in rows]
         assert summary["weight_min"] == pytest.approx(np.mean(mins))
         assert summary["weight_max"] == pytest.approx(np.mean(maxs))
-        assert summary["weight_p5"] == pytest.approx(np.mean(p5s))
+        assert summary["weight_p5"] == np.mean(p5s)
         assert summary["weight_neg_fraction"] == pytest.approx(np.mean([1 / 3, 0.0, 1 / 3]))
+
+    @pytest.mark.parametrize("columns", [1, 2, 3, 17, 40, 100])
+    def test_row_percentiles_equal_numpy(self, rng, columns):
+        stack = rng.normal(size=(9, columns)) * rng.choice([1e-3, 1.0, 1e3], size=(9, 1))
+        for q in (5, 95):
+            got = backtest._row_percentiles(stack, q)
+            assert np.array_equal(got, np.percentile(stack, q, axis=1)), (columns, q)
 
     def test_sparsity_trivials(self):
         diagonal = fake_run([[1.0]] * 2, zeros=[1.0, 1.0])

@@ -548,6 +548,36 @@ def test_import_defaults_to_one_blas_thread(preset, expected):
     assert result.stdout.split() == [expected, "1", "1"]
 
 
+def test_commands_run_on_numpy_alone(tmp_path, rng):
+    # scipy serves only ols_hedge's rank-deficient branch, and numpy.ma would
+    # come from np.percentile, which calls np.unique: neither may load here.
+    (tmp_path / "toy.csv").write_text(panel_csv(synth_returns(40, 4, rng)))
+    config = {
+        "window_length": 24,
+        "out": "out",
+        "grid": {"start": 0.0, "stop": 1.0, "step": 0.5},
+        "datasets": [{"name": "toy", "path": "toy.csv"}],
+        "strategies": ["S-MVP", "EW-MVP", "LW-MVP", "PCA-MVP", "JM-MVP",
+                       "Glasso-MVP", "Ridge-MVP", "EN-MVP"],
+    }
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(config))
+    script = (
+        "import sys\n"
+        "from precis.cli import main\n"
+        "assert main(['tune', '--config', 'run.yaml']) == 0\n"
+        "assert main(['backtest', '--config', 'run.yaml']) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('scipy') or m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "report.json").is_file()
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_committed_configs_use_only_known_keys():
     load_config(REPO / "demo" / "demo.yaml")
     try:

@@ -393,6 +393,53 @@ class TestPenalizedQml:
                 assert np.linalg.eigvalsh(est.psi)[0] > 0, (kind, max_iter)
 
 
+def residual_reference(psi, inverse, s, lam1, lam2):
+    """Entry by entry: the gradient's distance from the penalty subdifferential."""
+    p = psi.shape[0]
+    worst = 0.0
+    for i in range(p):
+        for j in range(p):
+            g = inverse[i, j] - s[i, j]
+            if i == j:
+                dist = abs(g)
+            elif psi[i, j] != 0.0:
+                dist = abs(g - 2.0 * lam2 * psi[i, j] - lam1 * np.sign(psi[i, j]))
+            else:  # distance from lam1 * [-1, 1]
+                dist = max(abs(g) - lam1, 0.0)
+            worst = max(worst, dist)
+    return worst
+
+
+class TestOptimalityResidual:
+    @pytest.mark.parametrize("lam1, lam2", [(0.05, 0.0), (0.0, 0.05), (0.03, 0.02)],
+                             ids=["l1", "l2", "elastic"])
+    def test_matches_entrywise_reference(self, rng, lam1, lam2):
+        for p in (2, 7, 23):
+            psi = rand_spd(p, rng, cond=5.0)
+            zeros = np.triu(rng.random((p, p)) < 0.4, k=1)
+            psi[zeros | zeros.T] = 0.0
+            psi += (abs(np.linalg.eigvalsh(psi)[0]) + 0.5) * np.eye(p)  # PD with exact zeros
+            inverse = np.linalg.inv(psi)
+            noise = rng.normal(scale=0.05, size=(p, p))
+            np.fill_diagonal(noise, 0.0)  # a zero diagonal gradient: off-diagonals set the max
+            s = inverse + noise + noise.T  # gradients near the penalty's scale
+            ref = residual_reference(psi, inverse, s, lam1, lam2)
+            got = estimators._optimality_residual(psi, inverse, s, lam1, lam2)
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_indefinite_psi_never_converges(self, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        psi = (q * np.array([-1.0, 0.5, 1.0, 2.0, 3.0, 4.0])) @ q.T
+        psi = 0.5 * (psi + psi.T)
+        s = np.linalg.inv(psi)  # the inverse-based distance is zero at lam = 0
+        assert estimators._optimality_residual(psi, np.linalg.inv(psi), s, 0.0, 0.0) <= 1e-12
+        assert estimators._stopping_residual(psi, s, 0.0, 0.0, 1e-6) == np.inf
+
+    def test_singular_psi_has_infinite_residual(self):
+        psi = np.array([[1.0, 1.0], [1.0, 1.0]])
+        assert estimators._stopping_residual(psi, np.eye(2), 0.0, 0.0, 1e-6) == np.inf
+
+
 def scaled_asset_window():
     """p = 132, T = 120, with one asset's returns scaled 100x (variance 1e4x)."""
     returns = synth_returns(120, 132, np.random.default_rng(0))
@@ -422,6 +469,29 @@ class TestRidgeFixedPoint:
         est = penalized_qml(s, t, PenaltySpec("l2", rho))
         assert est.converged and est.iterations <= 10, est.iterations
         assert np.abs(est.psi - ref).max() <= 1e-4 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "window,t,rho",
+        [
+            (lambda: sample_covariance(synth_returns(36, 40, np.random.default_rng(0))), 36, 0.5),
+            (scaled_asset_window, 120, 0.1),
+        ],
+        ids=["p40-T36", "p132-one-asset-x100"],
+    )
+    def test_spectral_inverse_matches_numpy(self, monkeypatch, window, t, rho):
+        pairs = []
+        residual = estimators._optimality_residual
+
+        def spy(psi, inverse, *args):
+            pairs.append((psi, inverse))
+            return residual(psi, inverse, *args)
+
+        monkeypatch.setattr(estimators, "_optimality_residual", spy)
+        est = penalized_qml(window(), t, PenaltySpec("l2", rho))
+        assert est.converged and est.iterations == len(pairs)  # no ADMM handoff
+        for psi, inverse in pairs:
+            ref = np.linalg.inv(psi)
+            assert np.abs(inverse - ref).max() <= 1e-9 * np.abs(ref).max()
 
     def test_slow_contraction_hands_off_to_admm(self, monkeypatch):
         # percent-scale returns at rho 3000: the fixed point contracts slowly
