@@ -7,7 +7,7 @@ import os
 # these when numpy loads, so they are set before the first submodule import.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
-del _name
+del _name, os  # keeps os out of the package's public names
 
 from .backtest import (
     PAPER_LABELS,
@@ -60,49 +60,3 @@ from .portfolio import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BacktestReport",
-    "DescriptiveStats",
-    "EigenDecomposition",
-    "HedgeRegression",
-    "KktCertificate",
-    "PAPER_LABELS",
-    "PenaltySpec",
-    "PrecisionEstimate",
-    "ReturnsPanel",
-    "RollingConfig",
-    "SolverOptions",
-    "StrategyRun",
-    "StrategySpec",
-    "WeightVector",
-    "build_report",
-    "condition_number",
-    "condition_stats",
-    "describe",
-    "equal_weights",
-    "forward_fill",
-    "invert_spd",
-    "lasso_hedge",
-    "ledoit_wolf",
-    "ledoit_wolf_intensity",
-    "mvp_weights",
-    "no_short_mvp",
-    "ols_hedge",
-    "oos_mean",
-    "oos_sharpe",
-    "oos_variance",
-    "parse_panel",
-    "pca_precision",
-    "penalized_qml",
-    "precision_from_hedges",
-    "run_rolling",
-    "sample_covariance",
-    "sample_precision",
-    "soft_threshold",
-    "sparsity",
-    "sym_eigen",
-    "tune_rho",
-    "turnover",
-    "weight_distribution",
-]

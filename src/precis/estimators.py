@@ -17,11 +17,13 @@ leaves the maximizer unchanged while keeping rho on the scale used for
 grid tuning. l1 and elastic run graphical-lasso ADMM with an elementwise
 elastic-net prox, on the correlation matrix so that its conditioning does
 not depend on the scale of individual assets, and Anderson-accelerated (see
-_solve_admm). It stops, on the iterate of the plain ADMM step, at the
-first-order optimality residual: the largest entrywise distance between the
-smooth-part gradient psi^-1 - S and the penalty subdifferential, measured on
-the T/2-normalized objective. ADMM takes psi^-1 from np.linalg.inv and tests
-positive definiteness (a Cholesky factorization) only where the answer
+_solve_admm). Every solve stops on one rule: the first-order optimality
+residual is at most tol. That residual is the largest entrywise distance
+between the smooth-part gradient psi^-1 - S and the penalty subdifferential
+on the T/2-normalized objective, each entry divided by sqrt(S_ii S_jj): the
+residual of the same problem on the correlation scale, so it does not
+depend on the units of the returns. ADMM takes psi^-1 from np.linalg.inv and
+tests positive definiteness (a Cholesky factorization) only where the answer
 decides the outcome; the l2 fixed point below takes it from its own
 eigendecomposition, so this module needs numpy alone.
 
@@ -29,9 +31,9 @@ l2 (and elastic with alpha = 1) reduces exactly to a fixed point in the
 unpenalized diagonal D (see _solve_ridge): for fixed D the optimum is one
 eigendecomposition of S - 2 lam2 Diag(D) with each eigenvalue a mapped to
 the positive root of 2 lam2 phi^2 + a phi - 1 = 0, taken in a form free of
-cancellation. A step stops when both the shared residual test and the
-diagonal gradient on the correlation scale pass; a step that shrinks the
-diagonal's move by less than half hands its iterate to ADMM as a warm start.
+cancellation. A step stops on the same residual rule; a step that shrinks
+the diagonal's move by less than half hands its iterate to ADMM as a warm
+start.
 """
 from __future__ import annotations
 
@@ -104,13 +106,12 @@ class PenaltySpec:
 class SolverOptions:
     """Knobs for the penalized QML solver.
 
-    tol bounds the first-order optimality residual on the T/2-normalized
-    objective, measured relative to max(1, max|S_ij|) so the same setting
-    is meaningful for unit-scale matrices and percent-unit return data;
-    the l2 fixed point must also bring its diagonal gradient on the
-    correlation scale below tol. max_iter bounds the iterations of one
-    solve: ADMM iterations for l1 and elastic, and for l2 its fixed-point
-    steps plus the ADMM iterations of any handoff.
+    tol bounds the first-order optimality residual of the T/2-normalized
+    objective on the correlation scale (entry ij divided by sqrt(S_ii S_jj)),
+    so one setting means the same for any units of the returns and any
+    spread of asset variances. max_iter bounds the iterations of one solve:
+    ADMM iterations for l1 and elastic, and for l2 its fixed-point steps plus
+    the ADMM iterations of any handoff.
     """
 
     tol: float = 1e-6
@@ -130,7 +131,7 @@ class PrecisionEstimate:
     psi: np.ndarray
     iterations: int = 0  # penalized solves: fixed-point steps plus ADMM iterations
     converged: bool = True
-    residual: float = 0.0
+    residual: float = 0.0  # optimality residual on the correlation scale
     spectrum: EigenDecomposition | None = None  # of the covariance estimate psi inverts
 
 
@@ -227,7 +228,9 @@ def _optimality_residual(
     unpenalized, so their residual is the gradient's magnitude; off-diagonals
     subtract the l2 gradient and measure distance to lam1 * [-1, 1] at zeros
     of psi as |g| - lam1, which may be negative there: the diagonal keeps the
-    maximum nonnegative, so clipping at 0 would not change it.
+    maximum nonnegative, so clipping at 0 would not change it. Entry ij is
+    divided by sqrt(S_ii S_jj), which makes this the residual of the
+    correlation-scale problem (R = S / dd', psi * dd') that ADMM iterates on.
     """
     grad = inverse - s
     off_grad = grad - 2.0 * lam2 * psi if lam2 else grad
@@ -236,7 +239,8 @@ def _optimality_residual(
     else:
         dist = np.abs(off_grad)
     np.fill_diagonal(dist, np.abs(np.diagonal(grad)))
-    return float(dist.max())
+    d = np.sqrt(np.diagonal(s))
+    return float((dist / np.outer(d, d)).max())
 
 
 def _stopping_residual(
@@ -287,10 +291,11 @@ def _solve_admm(
     the step changes, when the Gram solve fails, or when ||G(x) - x|| exceeds
     twice its least value since the last reset (the safeguard of Zhang,
     O'Donoghue & Boyd 2020). The stopping test is the optimality residual of
-    psi = Z_new / (d d') at the original scale, Z_new being the prox output,
-    never the extrapolated point, with psi^-1 from np.linalg.inv; an iterate
-    that is not positive definite is not converged (_stopping_residual), and
-    a capped solve whose last iterate is not PD returns the PD log-det iterate.
+    psi = Z_new / (d d'), on the correlation scale that of Z_new itself (the
+    prox output, never the extrapolated point), with psi^-1 from
+    np.linalg.inv; an iterate that is not positive definite is not converged
+    (_stopping_residual), and a capped solve whose last iterate is not PD
+    returns the PD log-det iterate.
     A cold start is Z = I, U = 0. A PD start psi gives Z = psi * dd' and the U
     that makes the log-det step return Z itself: from its stationarity
     -Z^-1 + R + rho (Z - Z + U) = 0, U = (Z^-1 - R) / rho.
@@ -365,15 +370,13 @@ def _solve_ridge(
     form loses digits when one asset's variance dwarfs the others'. Each step
     maps D to diag(psi(D)), from D = 1/diag(S), the lam2 -> inf limit. psi(D)
     is stationary off the diagonal, and its diagonal gradient is
-    2 lam2 (psi_ii - D_i); a step converges when the optimality residual
-    passes tol and that gradient, on the correlation scale (divided by S_ii),
-    passes tol / max(1, max|S|), the relative tol.
+    2 lam2 (psi_ii - D_i), which the residual divides by S_ii; a step
+    converges when the optimality residual passes tol.
     The contraction rate 2 lam2 psi^2 / (1 + 2 lam2 psi^2) depends on the
     data's scale, so when a step's diagonal move is not below RIDGE_HANDOFF
     times the previous one, psi starts _solve_admm with the remaining budget.
     """
     var = np.diag(s)
-    rel_tol = tol / max(1.0, float(np.abs(s).max()))
     target = 1.0 / var
     move_prev = np.inf
     for it in range(1, max_iter + 1):
@@ -384,7 +387,7 @@ def _solve_ridge(
         diag = np.diag(psi)
         move = float(np.max(np.abs(diag - target) / var))
         residual = _optimality_residual(psi, (v / phi) @ v.T, s, 0.0, lam2)
-        if residual <= tol and 2.0 * lam2 * move <= rel_tol:
+        if residual <= tol:
             return psi, it, True, residual
         if it < max_iter and move > RIDGE_HANDOFF * move_prev:
             psi, admm_iters, converged, residual = _solve_admm(
@@ -420,18 +423,14 @@ def penalized_qml(
     l1_share, l2_share = penalty.weights
     lam1 = rho_eff * l1_share
     lam2 = rho_eff * l2_share
-    scale = max(1.0, float(np.abs(s).max()))
     if penalty.rho > 0.0 and lam1 == 0.0:
-        psi, iterations, converged, residual = _solve_ridge(s, lam2, opts.tol * scale, opts.max_iter)
+        psi, iterations, converged, residual = _solve_ridge(s, lam2, opts.tol, opts.max_iter)
     elif penalty.rho > 0.0:
-        psi, iterations, converged, residual = _solve_admm(
-            s, lam1, lam2, opts.tol * scale, opts.max_iter
-        )
+        psi, iterations, converged, residual = _solve_admm(s, lam1, lam2, opts.tol, opts.max_iter)
     else:  # the unpenalized maximizer is the plain inverse; a singular s raises here
         psi, iterations = invert_spd(s), 0
-        residual = _stopping_residual(psi, s, 0.0, 0.0, opts.tol * scale)
-        converged = residual <= opts.tol * scale
-    residual /= scale
+        residual = _stopping_residual(psi, s, 0.0, 0.0, opts.tol)
+        converged = residual <= opts.tol
     if not converged:
         logger.warning(
             "penalized_qml (%s, rho=%.4g) stopped after %d iterations, residual %.3e",

@@ -585,10 +585,3 @@ def test_committed_configs_use_only_known_keys():
     except ConfigError as exc:
         # the paper's return files are not shipped; nothing else may fail
         assert "no such file" in str(exc), exc
-
-
-def test_every_exported_name_resolves():
-    import precis
-
-    missing = [name for name in precis.__all__ if not hasattr(precis, name)]
-    assert not missing and len(set(precis.__all__)) == len(precis.__all__)

@@ -275,14 +275,15 @@ class TestPenalizedQml:
         assert est.converged
         l1w, l2w = penalty.weights
         grad = (t / 2.0) * (np.linalg.inv(est.psi) - s)
-        bound = 10 * TIGHT.tol * (t / 2.0) * max(1.0, np.abs(s).max())  # solver tol, 10x slack
-        assert np.abs(np.diag(grad)).max() <= bound
+        d = np.sqrt(np.diag(s))
+        bound = 10 * TIGHT.tol * (t / 2.0) * np.outer(d, d)  # solver tol per entry, 10x slack
+        assert np.all(np.abs(np.diag(grad)) <= np.diag(bound))
         off = ~np.eye(6, dtype=bool)
         smooth = grad[off] - 2.0 * rho * l2w * est.psi[off]
         active = np.abs(est.psi[off]) > 1e-12
-        assert np.abs(smooth[active] - rho * l1w * np.sign(est.psi[off][active])).max() <= bound
-        if np.any(~active):
-            assert np.abs(smooth[~active]).max() <= rho * l1w + bound
+        sign = np.sign(est.psi[off][active])
+        assert np.all(np.abs(smooth[active] - rho * l1w * sign) <= bound[off][active])
+        assert np.all(np.abs(smooth[~active]) <= rho * l1w + bound[off][~active])
 
     @pytest.mark.parametrize("kind,rho", [("l1", 0.7), ("l2", 0.7), ("elastic", 0.7)])
     def test_no_perturbation_improves_objective(self, rng, kind, rho):
@@ -358,9 +359,28 @@ class TestPenalizedQml:
         assert 2.5e4 < variances[3] < 3.5e4
         assert np.all(np.delete(variances, 3) < 30.0)
         for rho in (0.5, 2.0):
-            est = penalized_qml(s, 120, PenaltySpec(kind, rho))
+            penalty = PenaltySpec(kind, rho)
+            est = penalized_qml(s, 120, penalty)
             assert est.converged, (kind, rho, est.residual)
             assert est.residual <= SolverOptions().tol
+            lam1, lam2 = (2.0 * rho / 120 * share for share in penalty.weights)
+            ref, _, converged, _ = estimators._solve_admm(s, lam1, lam2, 1e-12, 10_000)
+            assert converged
+            error = np.abs(est.psi - ref).max() / np.abs(ref).max()
+            assert error <= 2e-6, (kind, rho, error)
+
+    @pytest.mark.parametrize("kind,power", [("l1", 2), ("l2", 4)])
+    @pytest.mark.parametrize("rho", [0.5, 3.0])
+    def test_stopping_rule_ignores_the_units_of_returns(self, kind, power, rho):
+        # returns times c give S c^2 and psi / c^2 at rho c^2 (l1) or c^4 (l2);
+        # c = 2^-7 keeps every scaling exact in binary
+        c = 2.0**-7
+        s = sample_covariance(synth_returns(120, 49, np.random.default_rng(0)))
+        est = penalized_qml(s, 120, PenaltySpec(kind, rho))
+        scaled = penalized_qml(s * c**2, 120, PenaltySpec(kind, rho * c**power))
+        assert est.converged and scaled.converged
+        assert scaled.iterations == est.iterations
+        assert np.abs(scaled.psi * c**2 - est.psi).max() <= 1e-12 * np.abs(est.psi).max()
 
     @pytest.mark.parametrize("kind", ["l2", "elastic"])
     def test_more_assets_than_observations_converges(self, kind):
@@ -394,7 +414,8 @@ class TestPenalizedQml:
 
 
 def residual_reference(psi, inverse, s, lam1, lam2):
-    """Entry by entry: the gradient's distance from the penalty subdifferential."""
+    """Entry by entry: the gradient's distance from the penalty subdifferential,
+    divided by sqrt(s_ii s_jj)."""
     p = psi.shape[0]
     worst = 0.0
     for i in range(p):
@@ -406,7 +427,7 @@ def residual_reference(psi, inverse, s, lam1, lam2):
                 dist = abs(g - 2.0 * lam2 * psi[i, j] - lam1 * np.sign(psi[i, j]))
             else:  # distance from lam1 * [-1, 1]
                 dist = max(abs(g) - lam1, 0.0)
-            worst = max(worst, dist)
+            worst = max(worst, dist / np.sqrt(s[i, i] * s[j, j]))  # correlation scale
     return worst
 
 
@@ -429,7 +450,8 @@ class TestOptimalityResidual:
 
     def test_indefinite_psi_never_converges(self, rng):
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        psi = (q * np.array([-1.0, 0.5, 1.0, 2.0, 3.0, 4.0])) @ q.T
+        # one large negative eigenvalue: psi^-1 keeps a positive diagonal, as S must
+        psi = (q * np.array([-10.0, 0.5, 1.0, 2.0, 3.0, 4.0])) @ q.T
         psi = 0.5 * (psi + psi.T)
         s = np.linalg.inv(psi)  # the inverse-based distance is zero at lam = 0
         assert estimators._optimality_residual(psi, np.linalg.inv(psi), s, 0.0, 0.0) <= 1e-12
@@ -462,9 +484,8 @@ class TestRidgeFixedPoint:
     )
     def test_matches_tight_admm(self, window, t, rho):
         s = window()
-        scale = max(1.0, np.abs(s).max())
         lam2 = 2.0 * rho / t
-        ref, _, converged, _ = estimators._solve_admm(s, 0.0, lam2, 1e-11 * scale, 10_000)
+        ref, _, converged, _ = estimators._solve_admm(s, 0.0, lam2, 1e-11, 10_000)
         assert converged
         est = penalized_qml(s, t, PenaltySpec("l2", rho))
         assert est.converged and est.iterations <= 10, est.iterations
