@@ -10,7 +10,9 @@ nonzero only for configuration and I/O problems.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -256,9 +258,12 @@ def _csv_cell(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
-    atomic_write(path, "\n".join(lines) + "\n")
+    """Quoted only where a cell needs it, as the panel parser's csv.reader reads it."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    atomic_write(path, text.getvalue())
 
 
 def _load_panel(ds: DatasetConfig) -> ReturnsPanel:

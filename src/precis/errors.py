@@ -61,11 +61,7 @@ class MulticollinearityError(PrecisError):
 
 
 class NonconvergenceError(PrecisError):
-    """Iteration budget exhausted. ``best`` holds the last iterate when available."""
-
-    def __init__(self, message: str, best=None):
-        self.best = best
-        super().__init__(message)
+    """Iteration budget exhausted."""
 
 
 class TuningError(PrecisError):

@@ -32,8 +32,7 @@ unpenalized diagonal D (see _solve_ridge): for fixed D the optimum is one
 eigendecomposition of S - 2 lam2 Diag(D) with each eigenvalue a mapped to
 the positive root of 2 lam2 phi^2 + a phi - 1 = 0, taken in a form free of
 cancellation. A step stops on the same residual rule; a step that shrinks
-the diagonal's move by less than half hands its iterate to ADMM as a warm
-start.
+the residual by less than half hands its iterate to ADMM as a warm start.
 """
 from __future__ import annotations
 
@@ -70,7 +69,7 @@ ADMM_RHO_STEP = 4.0
 # Anderson acceleration: the number of residual differences each extrapolation fits.
 ADMM_AA_MEMORY = 5
 # The l2 fixed point hands its iterate to ADMM once a step shrinks the
-# diagonal's move by less than this factor.
+# residual by less than this factor.
 RIDGE_HANDOFF = 0.5
 # Share of the tuning block that fits each grid point; the rest scores it.
 TUNE_FIT_SHARE = 0.75
@@ -370,31 +369,29 @@ def _solve_ridge(
     form loses digits when one asset's variance dwarfs the others'. Each step
     maps D to diag(psi(D)), from D = 1/diag(S), the lam2 -> inf limit. psi(D)
     is stationary off the diagonal, and its diagonal gradient is
-    2 lam2 (psi_ii - D_i), which the residual divides by S_ii; a step
-    converges when the optimality residual passes tol.
+    2 lam2 (psi_ii - D_i), which the residual divides by S_ii: the residual
+    is 2 lam2 times the step's diagonal move relative to S, and a step
+    converges when it passes tol.
     The contraction rate 2 lam2 psi^2 / (1 + 2 lam2 psi^2) depends on the
-    data's scale, so when a step's diagonal move is not below RIDGE_HANDOFF
-    times the previous one, psi starts _solve_admm with the remaining budget.
+    data's scale, so when a step's residual is not below RIDGE_HANDOFF times
+    the previous one, psi starts _solve_admm with the remaining budget.
     """
-    var = np.diag(s)
-    target = 1.0 / var
-    move_prev = np.inf
+    target = 1.0 / np.diag(s)
+    residual_prev = np.inf
     for it in range(1, max_iter + 1):
         a, v = np.linalg.eigh(s - np.diag(2.0 * lam2 * target))
         root = np.sqrt(a * a + 8.0 * lam2)
         phi = np.where(a >= 0.0, 2.0 / (a + root), (root - a) / (4.0 * lam2))
         psi = symmetrize((v * phi) @ v.T)
-        diag = np.diag(psi)
-        move = float(np.max(np.abs(diag - target) / var))
         residual = _optimality_residual(psi, (v / phi) @ v.T, s, 0.0, lam2)
         if residual <= tol:
             return psi, it, True, residual
-        if it < max_iter and move > RIDGE_HANDOFF * move_prev:
+        if it < max_iter and residual > RIDGE_HANDOFF * residual_prev:
             psi, admm_iters, converged, residual = _solve_admm(
                 s, 0.0, lam2, tol, max_iter - it, start=psi
             )
             return psi, it + admm_iters, converged, residual
-        target, move_prev = diag, move
+        target, residual_prev = np.diag(psi), residual
     return psi, max_iter, False, residual
 
 

@@ -88,15 +88,16 @@ def ols_hedge(window: np.ndarray, i: int) -> HedgeRegression:
     # lstsq's rank counts singular values above eps * max(n, k + 1) * s_max
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < k + 1:
-        # QR with pivoting: columns pivoted past the numerical rank are the
-        # ones expressible in terms of the others. scipy is imported here
-        # alone, so that no other path pays for loading it.
-        import scipy.linalg
-
-        _, _, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-        dependent = sorted(piv[rank:])
+        # |R_jj| is column j's distance from the span of the columns before
+        # it; columns past the n-th have no diagonal entry and distance 0.
+        # The k + 1 - rank asset columns closest to that span are named: the
+        # later of two equal columns, and every column past the n-th when p > n.
+        distance = np.zeros(k + 1)
+        r = np.linalg.qr(design, mode="r")
+        distance[: len(r)] = np.abs(np.diagonal(r))
+        dependent = np.sort(np.argsort(distance[1:], kind="stable")[: k + 1 - rank])
         others = [j for j in range(window.shape[1]) if j != i]
-        names = [others[j - 1] for j in dependent if j >= 1]
+        names = [others[j] for j in dependent]
         raise MulticollinearityError(
             f"design for asset {i} is rank deficient; dependent columns {names}"
         )
@@ -209,7 +210,7 @@ def lasso_hedge(
             break
     if not converged:
         raise NonconvergenceError(
-            f"lasso hedge for asset {i} did not converge in {max_iter} sweeps", best=betas / norms
+            f"lasso hedge for asset {i} did not converge in {max_iter} sweeps"
         )
 
     betas_orig = betas / norms

@@ -137,7 +137,4 @@ def no_short_mvp(
             w[block] = 0.0
             w /= w.sum()
             free[block] = False
-    raise NonconvergenceError(
-        f"active-set QP did not converge in {max_iter} iterations",
-        best=WeightVector(weights=w / w.sum()),
-    )
+    raise NonconvergenceError(f"active-set QP did not converge in {max_iter} iterations")

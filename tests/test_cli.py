@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -549,9 +550,11 @@ def test_import_defaults_to_one_blas_thread(preset, expected):
 
 
 def test_commands_run_on_numpy_alone(tmp_path, rng):
-    # scipy serves only ols_hedge's rank-deficient branch, and numpy.ma would
-    # come from np.percentile, which calls np.unique: neither may load here.
+    # precis depends on numpy and PyYAML only, and numpy.ma would come from
+    # np.percentile, which calls np.unique: neither it nor scipy may load here,
+    # not even where diagnose names a p > n panel's dependent columns.
     (tmp_path / "toy.csv").write_text(panel_csv(synth_returns(40, 4, rng)))
+    (tmp_path / "short.csv").write_text(panel_csv(synth_returns(10, 12, rng)))
     config = {
         "window_length": 24,
         "out": "out",
@@ -561,11 +564,15 @@ def test_commands_run_on_numpy_alone(tmp_path, rng):
                        "Glasso-MVP", "Ridge-MVP", "EN-MVP"],
     }
     (tmp_path / "run.yaml").write_text(yaml.safe_dump(config))
+    config["datasets"].append({"name": "short", "path": "short.csv"})
+    (tmp_path / "all.yaml").write_text(yaml.safe_dump(config))
     script = (
         "import sys\n"
         "from precis.cli import main\n"
+        "assert main(['describe', '--config', 'all.yaml']) == 0\n"
         "assert main(['tune', '--config', 'run.yaml']) == 0\n"
         "assert main(['backtest', '--config', 'run.yaml']) == 0\n"
+        "assert main(['diagnose', '--config', 'all.yaml']) == 0\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.startswith('scipy') or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
@@ -575,7 +582,38 @@ def test_commands_run_on_numpy_alone(tmp_path, rng):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "report.json").is_file()
+    assert (tmp_path / "out" / "describe" / "short.json").is_file()
+    assert "short: MulticollinearityError" in result.stdout
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_csv_outputs_quote_names_with_commas(tmp_path, rng):
+    # the panel header quotes as csv.reader reads it; every output must too
+    quoted = ['"Food, Bev"', "Tech", '"Say ""hi"""', "Oil"]
+    (tmp_path / "toy.csv").write_text(panel_csv(synth_returns(40, 4, rng), assets=quoted))
+    assets = ["Food, Bev", "Tech", 'Say "hi"', "Oil"]
+    config = {
+        "window_length": 24,
+        "out": "out",
+        "datasets": [{"name": "toy", "path": "toy.csv"}],
+        "strategies": [
+            "EW-MVP",
+            {"name": "EN, a=0.5", "kind": "qml_elastic", "rho": 1.0, "alpha": 0.5},
+        ],
+    }
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(config))
+    for command in ("describe", "backtest"):
+        assert main([command, "--config", str(tmp_path / "run.yaml")]) == 0
+
+    def rows(path):
+        with open(tmp_path / "out" / path, newline="") as fh:
+            header, *body = csv.reader(fh)
+        assert all(len(row) == len(header) for row in body), body
+        return body
+
+    assert [row[0] for row in rows("describe/toy.csv")] == assets
+    strategies = [row[:2] for row in rows("tables/oos_variance.csv")]
+    assert strategies == [["toy", "EW-MVP"], ["toy", "EN, a=0.5"]]
 
 
 def test_committed_configs_use_only_known_keys():

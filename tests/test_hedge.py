@@ -84,8 +84,20 @@ class TestOlsHedge:
         window = np.column_stack([rng.normal(size=30), base, base, rng.normal(size=30)])
         with pytest.raises(MulticollinearityError) as err:
             ols_hedge(window, 0)
-        # one of the twins is named, as `precis diagnose` prints it
-        assert str(err.value).endswith(("dependent columns [1]", "dependent columns [2]"))
+        # the later twin is named, as `precis diagnose` prints it
+        assert str(err.value).endswith("dependent columns [2]")
+
+    def test_wide_design_names_every_column_past_the_rank(self):
+        window = synth_returns(10, 12, np.random.default_rng(1))  # p > n
+        for i in range(12):
+            design = np.column_stack([np.ones(10), np.delete(window, i, axis=1)])
+            rank = np.linalg.matrix_rank(design)
+            assert rank == 10  # k + 1 = 12 columns on 10 rows
+            others = [j for j in range(12) if j != i]
+            with pytest.raises(MulticollinearityError) as err:
+                ols_hedge(window, i)
+            # k + 1 - rank names, and they are the trailing asset columns
+            assert str(err.value).endswith(f"dependent columns {others[rank - 1:]}")
 
     def test_unbiased_variance_denominator(self, rng):
         window = synth_returns(25, 3, rng)

@@ -119,12 +119,10 @@ class TestNoShortMvp:
         with pytest.raises(SingularMatrixError):
             no_short_mvp(s)
 
-    def test_exhausted_budget_raises_with_best_iterate(self, rng):
+    def test_exhausted_budget_raises(self, rng):
         s = rand_spd(5, rng)
-        with pytest.raises(NonconvergenceError) as err:
+        with pytest.raises(NonconvergenceError):
             no_short_mvp(s, max_iter=0)
-        assert err.value.best is not None
-        assert abs(err.value.best.weights.sum() - 1.0) <= 1e-10
 
     def test_single_asset(self):
         wv, _ = no_short_mvp(np.array([[2.0]]))
