@@ -31,8 +31,8 @@ l2 (and elastic with alpha = 1) reduces exactly to a fixed point in the
 unpenalized diagonal D (see _solve_ridge): for fixed D the optimum is one
 eigendecomposition of S - 2 lam2 Diag(D) with each eigenvalue a mapped to
 the positive root of 2 lam2 phi^2 + a phi - 1 = 0, taken in a form free of
-cancellation. A step stops on the same residual rule; a step that shrinks
-the residual by less than half hands its iterate to ADMM as a warm start.
+cancellation. The map D -> diag(psi(D)) is Anderson-accelerated like ADMM
+(_Anderson), and a step stops on the same residual rule.
 """
 from __future__ import annotations
 
@@ -66,11 +66,9 @@ PENALTY_KINDS = ("l1", "l2", "elastic")
 ADMM_RHO0 = 1.0
 ADMM_BALANCE = 2.0
 ADMM_RHO_STEP = 4.0
-# Anderson acceleration: the number of residual differences each extrapolation fits.
+# Anderson acceleration of ADMM and of the l2 fixed point: the number of
+# residual differences each extrapolation fits.
 ADMM_AA_MEMORY = 5
-# The l2 fixed point hands its iterate to ADMM once a step shrinks the
-# residual by less than this factor.
-RIDGE_HANDOFF = 0.5
 # Share of the tuning block that fits each grid point; the rest scores it.
 TUNE_FIT_SHARE = 0.75
 
@@ -109,8 +107,7 @@ class SolverOptions:
     objective on the correlation scale (entry ij divided by sqrt(S_ii S_jj)),
     so one setting means the same for any units of the returns and any
     spread of asset variances. max_iter bounds the iterations of one solve:
-    ADMM iterations for l1 and elastic, and for l2 its fixed-point steps plus
-    the ADMM iterations of any handoff.
+    ADMM iterations for l1 and elastic, fixed-point steps for l2.
     """
 
     tol: float = 1e-6
@@ -128,7 +125,7 @@ class PrecisionEstimate:
     """An estimated precision matrix plus solver provenance."""
 
     psi: np.ndarray
-    iterations: int = 0  # penalized solves: fixed-point steps plus ADMM iterations
+    iterations: int = 0  # penalized solves: ADMM iterations or l2 fixed-point steps
     converged: bool = True
     residual: float = 0.0  # optimality residual on the correlation scale
     spectrum: EigenDecomposition | None = None  # of the covariance estimate psi inverts
@@ -268,13 +265,46 @@ def _positive_definite(psi: np.ndarray) -> bool:
     return True
 
 
+class _Anderson:
+    """Type-II Anderson acceleration (Walker & Ni 2011) of a fixed-point map G.
+
+    step(g, x) takes g = G(x) and returns the next input: g minus the
+    combination of the last ADMM_AA_MEMORY differences of G whose residual
+    differences best cancel f = g - x in least squares. The history is
+    cleared by reset(), when the Gram solve fails, or when ||f|| exceeds
+    twice its least value since the last reset (the safeguard of Zhang,
+    O'Donoghue & Boyd 2020).
+    """
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.g_prev, self.f_prev, self.dg, self.df, self.f_min = None, None, [], [], np.inf
+
+    def step(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+        f = g - x
+        f_norm = np.linalg.norm(f)
+        if f_norm > 2.0 * self.f_min:
+            self.reset()
+        self.f_min = min(self.f_min, f_norm)
+        if self.g_prev is not None:
+            self.dg = (self.dg + [g - self.g_prev])[-ADMM_AA_MEMORY:]
+            self.df = (self.df + [f - self.f_prev])[-ADMM_AA_MEMORY:]
+        self.g_prev, self.f_prev = g, f
+        if self.df:  # type-II step: g - gamma dG, gamma least-squares in f - gamma dF
+            dfm = np.array(self.df)
+            gram = dfm @ dfm.T
+            try:
+                gamma = np.linalg.solve(gram + 1e-10 * np.trace(gram) * np.eye(len(dfm)), dfm @ f)
+                return g - gamma @ np.array(self.dg)
+            except np.linalg.LinAlgError:
+                self.dg, self.df = [], []
+        return g
+
+
 def _solve_admm(
-    s: np.ndarray,
-    lam1: float,
-    lam2: float,
-    tol: float,
-    max_iter: int,
-    start: np.ndarray | None = None,
+    s: np.ndarray, lam1: float, lam2: float, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, bool, float]:
     """Graphical-lasso ADMM (Boyd et al. 2011, sec. 6.5) on the correlation matrix.
 
@@ -283,21 +313,15 @@ def _solve_admm(
     lam2 / (d_i d_j)^2, the same maximizer but conditioned independently of
     asset scale. Each iteration solves the log-det block in closed form from
     one eigendecomposition, applies the elementwise elastic-net prox to the
-    off-diagonals, and updates the scaled dual U. The ADMM penalty follows
-    residual balancing (sec. 3.4.1), and the (Z, U) map G is type-II
-    Anderson-accelerated (Walker & Ni 2011) over the last ADMM_AA_MEMORY
-    differences, its extrapolation symmetrized. The history is cleared when
-    the step changes, when the Gram solve fails, or when ||G(x) - x|| exceeds
-    twice its least value since the last reset (the safeguard of Zhang,
-    O'Donoghue & Boyd 2020). The stopping test is the optimality residual of
-    psi = Z_new / (d d'), on the correlation scale that of Z_new itself (the
-    prox output, never the extrapolated point), with psi^-1 from
-    np.linalg.inv; an iterate that is not positive definite is not converged
-    (_stopping_residual), and a capped solve whose last iterate is not PD
-    returns the PD log-det iterate.
-    A cold start is Z = I, U = 0. A PD start psi gives Z = psi * dd' and the U
-    that makes the log-det step return Z itself: from its stationarity
-    -Z^-1 + R + rho (Z - Z + U) = 0, U = (Z^-1 - R) / rho.
+    off-diagonals, and updates the scaled dual U, from Z = I, U = 0. The ADMM
+    penalty follows residual balancing (sec. 3.4.1), and the (Z, U) map is
+    Anderson-accelerated (_Anderson), its extrapolation symmetrized and its
+    history also cleared when the step changes. The stopping test is the
+    optimality residual of psi = Z_new / (d d'), on the correlation scale
+    that of Z_new itself (the prox output, never the extrapolated point),
+    with psi^-1 from np.linalg.inv; an iterate that is not positive definite
+    is not converged (_stopping_residual), and a capped solve whose last
+    iterate is not PD returns the PD log-det iterate.
     """
     p = s.shape[0]
     d = np.sqrt(np.diag(s))
@@ -307,12 +331,8 @@ def _solve_admm(
     kappa1 = np.where(off, lam1 / dd, 0.0)
     kappa2 = np.where(off, 2.0 * lam2 / dd**2, 0.0)
     rho = ADMM_RHO0
-    if start is None:
-        z, u = np.eye(p), np.zeros((p, p))
-    else:
-        z = start * dd
-        u = (symmetrize(np.linalg.inv(z)) - r) / rho
-    g_prev, dg, df, f_min = None, [], [], np.inf  # Anderson history since the last reset
+    z, u = np.eye(p), np.zeros((p, p))
+    aa = _Anderson()
     for it in range(1, max_iter + 1):
         e, q = np.linalg.eigh(rho * (z - u) - r)
         theta = symmetrize((q * ((e + np.sqrt(e * e + 4.0 * rho)) / (2.0 * rho))) @ q.T)
@@ -328,25 +348,11 @@ def _solve_admm(
         if max(primal, dual) > ADMM_BALANCE * min(primal, dual):  # a new step restarts the history
             step = ADMM_RHO_STEP if primal > dual else 1.0 / ADMM_RHO_STEP
             rho, z, u = rho * step, z_new, u_new / step
-            g_prev, dg, df, f_min = None, [], [], np.inf
+            aa.reset()
             continue
-        g = np.concatenate((z_new.ravel(), u_new.ravel()))  # G(x), flattened
-        f = g - np.concatenate((z.ravel(), u.ravel()))  # the fixed-point residual G(x) - x
-        f_norm = np.linalg.norm(f)
-        if f_norm > 2.0 * f_min:  # the safeguard also restarts it
-            g_prev, dg, df, f_min = None, [], [], np.inf
-        f_min = min(f_min, f_norm)
-        if g_prev is not None:
-            dg, df = (dg + [g - g_prev])[-ADMM_AA_MEMORY:], (df + [f - f_prev])[-ADMM_AA_MEMORY:]
-        g_prev, f_prev, x = g, f, g
-        if df:  # type-II step: x = g - gamma dG, gamma least-squares in f - gamma dF
-            dfm = np.array(df)
-            gram = dfm @ dfm.T
-            try:
-                gamma = np.linalg.solve(gram + 1e-10 * np.trace(gram) * np.eye(len(df)), dfm @ f)
-                x = g - gamma @ np.array(dg)
-            except np.linalg.LinAlgError:
-                dg, df = [], []
+        x = aa.step(
+            np.concatenate((z_new.ravel(), u_new.ravel())), np.concatenate((z.ravel(), u.ravel()))
+        )
         z, u = symmetrize(x[: p * p].reshape(p, p)), symmetrize(x[p * p :].reshape(p, p))
     if not _positive_definite(psi):
         psi, residual = theta / dd, np.inf  # positive definite by construction
@@ -356,28 +362,27 @@ def _solve_admm(
 def _solve_ridge(
     s: np.ndarray, lam2: float, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, bool, float]:
-    """The l2 problem as a fixed point in its unpenalized diagonal, ADMM as fallback.
+    """The l2 problem as an Anderson-accelerated fixed point in its unpenalized diagonal.
 
     With only off-diagonals penalized, the optimum solves
     psi^-1 - 2 lam2 psi = S - 2 lam2 Diag(psi). For a fixed diagonal D, write
     S - 2 lam2 Diag(D) = V diag(a) V'; then psi(D) = V diag(phi) V' with phi
-    the positive root of 2 lam2 phi^2 + a phi - 1 = 0, positive definite by
-    construction (the Frobenius-ridge closed form of van Wieringen & Peeters
+    the positive root of 2 lam2 phi^2 + a phi - 1 = 0, positive definite for
+    every real D (the Frobenius-ridge closed form of van Wieringen & Peeters
     2016 with target D), and the residual reads psi^-1 = V diag(1/phi) V'.
     The root is taken without cancellation: 2 / (a + sqrt(a^2 + 8 lam2)) for
     a >= 0 and (sqrt(a^2 + 8 lam2) - a) / (4 lam2) below, since the textbook
-    form loses digits when one asset's variance dwarfs the others'. Each step
-    maps D to diag(psi(D)), from D = 1/diag(S), the lam2 -> inf limit. psi(D)
-    is stationary off the diagonal, and its diagonal gradient is
-    2 lam2 (psi_ii - D_i), which the residual divides by S_ii: the residual
-    is 2 lam2 times the step's diagonal move relative to S, and a step
-    converges when it passes tol.
-    The contraction rate 2 lam2 psi^2 / (1 + 2 lam2 psi^2) depends on the
-    data's scale, so when a step's residual is not below RIDGE_HANDOFF times
-    the previous one, psi starts _solve_admm with the remaining budget.
+    form loses digits when one asset's variance dwarfs the others'. The map
+    D -> diag(psi(D)) starts from D = 1/diag(S), the lam2 -> inf limit, and
+    its contraction rate 2 lam2 psi^2 / (1 + 2 lam2 psi^2) depends on the
+    data's scale, so each step's next D is its Anderson extrapolation
+    (_Anderson). psi(D) is stationary off the diagonal, and its diagonal
+    gradient is 2 lam2 (psi_ii - D_i), which the residual divides by S_ii:
+    the residual is 2 lam2 times the step's diagonal move relative to S, and
+    a step converges when it passes tol.
     """
     target = 1.0 / np.diag(s)
-    residual_prev = np.inf
+    aa = _Anderson()
     for it in range(1, max_iter + 1):
         a, v = np.linalg.eigh(s - np.diag(2.0 * lam2 * target))
         root = np.sqrt(a * a + 8.0 * lam2)
@@ -386,12 +391,7 @@ def _solve_ridge(
         residual = _optimality_residual(psi, (v / phi) @ v.T, s, 0.0, lam2)
         if residual <= tol:
             return psi, it, True, residual
-        if it < max_iter and residual > RIDGE_HANDOFF * residual_prev:
-            psi, admm_iters, converged, residual = _solve_admm(
-                s, 0.0, lam2, tol, max_iter - it, start=psi
-            )
-            return psi, it + admm_iters, converged, residual
-        target, residual_prev = np.diag(psi), residual
+        target = aa.step(np.diag(psi).copy(), target)
     return psi, max_iter, False, residual
 
 

@@ -391,16 +391,16 @@ class TestPenalizedQml:
         assert np.linalg.eigvalsh(est.psi)[0] > 0
 
     def test_singular_window_ridge_iteration_guard(self):
-        # p = 40 > T = 36: plain ADMM takes about 320 iterations here
+        # p = 40 > T = 36
         s = sample_covariance(synth_returns(36, 40, np.random.default_rng(0)))
         est = penalized_qml(s, 36, PenaltySpec("l2", 0.5))
-        assert est.converged and est.iterations <= 150, est.iterations
+        assert est.converged and est.iterations <= 10, est.iterations
 
     def test_wide_fit_block_small_rho_iteration_guard(self):
-        # the 90-row tuning fit block at p = 100: plain ADMM takes 1230 iterations
+        # the 90-row tuning fit block at p = 100
         s = sample_covariance(synth_returns(510, 100, np.random.default_rng(0))[:90])
         est = penalized_qml(s, 90, PenaltySpec("l2", 0.1))
-        assert est.converged and est.iterations <= 400, est.iterations
+        assert est.converged and est.iterations <= 10, est.iterations
 
     def test_capped_solve_returns_positive_definite(self):
         # early iterates on a singular window can be indefinite; a solve cut
@@ -470,7 +470,7 @@ def scaled_asset_window():
 
 
 class TestRidgeFixedPoint:
-    """l2 runs the diagonal fixed point; ADMM is its fallback and its oracle."""
+    """l2 runs the diagonal fixed point alone; ADMM is only its oracle."""
 
     @pytest.mark.parametrize(
         "window,t,rho",
@@ -509,34 +509,62 @@ class TestRidgeFixedPoint:
 
         monkeypatch.setattr(estimators, "_optimality_residual", spy)
         est = penalized_qml(window(), t, PenaltySpec("l2", rho))
-        assert est.converged and est.iterations == len(pairs)  # no ADMM handoff
+        assert est.converged and est.iterations == len(pairs)  # one residual per step
         for psi, inverse in pairs:
             ref = np.linalg.inv(psi)
             assert np.abs(inverse - ref).max() <= 1e-9 * np.abs(ref).max()
 
-    def test_slow_contraction_hands_off_to_admm(self, monkeypatch):
-        # percent-scale returns at rho 3000: the fixed point contracts slowly
+    def test_slow_contraction_converges(self):
+        # percent-scale returns at rho 3000: the plain fixed point contracts slowly
         s = sample_covariance(synth_returns(120, 49, np.random.default_rng(0)))
-        starts = []
-        admm = estimators._solve_admm
-
-        def spy(*args, start=None):
-            starts.append(start)
-            return admm(*args, start=start)
-
-        monkeypatch.setattr(estimators, "_solve_admm", spy)
         est = penalized_qml(s, 120, PenaltySpec("l2", 3000.0))
         assert est.converged and est.residual <= SolverOptions().tol
-        assert len(starts) == 1 and starts[0] is not None
-        for max_iter in range(1, 16):  # capped before, at and after the handoff
-            est = penalized_qml(s, 120, PenaltySpec("l2", 3000.0), SolverOptions(max_iter=max_iter))
-            assert not est.converged and est.iterations == max_iter
-            assert np.linalg.eigvalsh(est.psi)[0] > 0, max_iter
+        for max_iter in range(1, 16):  # capped before, at and after the converged step
+            capped = penalized_qml(s, 120, PenaltySpec("l2", 3000.0), SolverOptions(max_iter=max_iter))
+            assert np.linalg.eigvalsh(capped.psi)[0] > 0, max_iter
+            if max_iter < est.iterations:
+                assert not capped.converged and capped.iterations == max_iter
+            else:
+                assert capped.converged and capped.iterations == est.iterations
+
+    @pytest.mark.parametrize(
+        "window,rho",
+        [
+            (lambda: sample_covariance(synth_returns(120, 49, np.random.default_rng(0))), 3000.0),
+            (lambda: sample_covariance(synth_returns(120, 49, np.random.default_rng(0))) / 2.0**14, 0.01),
+            (scaled_asset_window, 3000.0),
+        ],
+        ids=["percent-rho3000", "x2^-7-rho0.01", "one-asset-x100-rho3000"],
+    )
+    @pytest.mark.parametrize("kind", ["l2", "elastic"])
+    def test_never_runs_admm(self, monkeypatch, window, rho, kind):
+        def admm(*args):
+            raise AssertionError("a problem with no l1 weight ran ADMM")
+
+        monkeypatch.setattr(estimators, "_solve_admm", admm)
+        est = penalized_qml(window(), 120, PenaltySpec(kind, rho, alpha=1.0))
+        assert est.converged and est.residual <= SolverOptions().tol
 
     def test_decimal_returns_converge_in_few_steps(self):
         s = sample_covariance(synth_returns(120, 49, np.random.default_rng(0))) / 1e4
         est = penalized_qml(s, 120, PenaltySpec("l2", 0.1))
         assert est.converged and est.iterations <= 5, est.iterations
+
+
+class TestAnderson:
+    def test_affine_contraction_reaches_its_fixed_point(self, rng):
+        # x -> A x + b in R^3 with spectral radius 0.9: a plain iteration
+        # needs about 250 maps to reach 1e-12
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        a = q @ np.diag([0.9, -0.5, 0.2]) @ q.T
+        b = rng.normal(size=3)
+        fixed = np.linalg.solve(np.eye(3) - a, b)
+        aa, x = estimators._Anderson(), np.zeros(3)
+        for maps in range(1, 7):
+            x = aa.step(a @ x + b, x)
+            if np.abs(x - fixed).max() <= 1e-12:
+                break
+        assert np.abs(x - fixed).max() <= 1e-12, maps
 
 
 class TestTuneRho:
