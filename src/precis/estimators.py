@@ -16,13 +16,16 @@ objective is divided by T/2 (effective penalty weight 2 rho / T), which
 leaves the maximizer unchanged while keeping rho on the scale used for
 grid tuning. l1 and elastic run graphical-lasso ADMM with an elementwise
 elastic-net prox, on the correlation matrix so that its conditioning does
-not depend on the scale of individual assets, and Anderson-accelerated (see
-_solve_admm). Every solve stops on one rule: the first-order optimality
+not depend on the scale of individual assets, iterated as Douglas-Rachford
+splitting on the one state v = Theta + U and Anderson-accelerated there (see
+_solve_admm); tune_rho starts each solve down a rho path from the previous
+one's state. Every solve stops on one rule: the first-order optimality
 residual is at most tol. That residual is the largest entrywise distance
 between the smooth-part gradient psi^-1 - S and the penalty subdifferential
 on the T/2-normalized objective, each entry divided by sqrt(S_ii S_jj): the
 residual of the same problem on the correlation scale, so it does not
-depend on the units of the returns. ADMM takes psi^-1 from np.linalg.inv and
+depend on the units of the returns. ADMM takes psi^-1 from np.linalg.inv,
+computes the residual sparsely until it nears tol (see _solve_admm), and
 tests positive definiteness (a Cholesky factorization) only where the answer
 decides the outcome; the l2 fixed point below takes it from its own
 eigendecomposition, so this module needs numpy alone.
@@ -64,8 +67,11 @@ PENALTY_KINDS = ("l1", "l2", "elastic")
 # ADMM penalty schedule in correlation units: the start value, the ratio of
 # primal to dual residual norms that triggers a change, and the factor applied.
 ADMM_RHO0 = 1.0
-ADMM_BALANCE = 2.0
+ADMM_BALANCE = 5.0
 ADMM_RHO_STEP = 4.0
+# ADMM computes its stopping residual on every this-many iterations until one
+# comes within 10 tol, and on every iteration after that.
+ADMM_CHECK_EVERY = 4
 # Anderson acceleration of ADMM and of the l2 fixed point: the number of
 # residual differences each extrapolation fits.
 ADMM_AA_MEMORY = 5
@@ -129,6 +135,7 @@ class PrecisionEstimate:
     converged: bool = True
     residual: float = 0.0  # optimality residual on the correlation scale
     spectrum: EigenDecomposition | None = None  # of the covariance estimate psi inverts
+    state: tuple[np.ndarray, float] | None = None  # ADMM's final (v, step): a start on the same S
 
 
 def sample_precision(decomp: EigenDecomposition) -> PrecisionEstimate:
@@ -304,24 +311,37 @@ class _Anderson:
 
 
 def _solve_admm(
-    s: np.ndarray, lam1: float, lam2: float, tol: float, max_iter: int
-) -> tuple[np.ndarray, int, bool, float]:
+    s: np.ndarray,
+    lam1: float,
+    lam2: float,
+    tol: float,
+    max_iter: int,
+    start: tuple[np.ndarray, float] | None = None,
+) -> tuple[np.ndarray, int, bool, float, tuple[np.ndarray, float]]:
     """Graphical-lasso ADMM (Boyd et al. 2011, sec. 6.5) on the correlation matrix.
 
     With d = sqrt(diag S), psi = Z / (d d') turns the problem into one on
     R = S / (d d') with off-diagonal penalties lam1 / (d_i d_j) and
     lam2 / (d_i d_j)^2, the same maximizer but conditioned independently of
-    asset scale. Each iteration solves the log-det block in closed form from
-    one eigendecomposition, applies the elementwise elastic-net prox to the
-    off-diagonals, and updates the scaled dual U, from Z = I, U = 0. The ADMM
-    penalty follows residual balancing (sec. 3.4.1), and the (Z, U) map is
-    Anderson-accelerated (_Anderson), its extrapolation symmetrized and its
-    history also cleared when the step changes. The stopping test is the
-    optimality residual of psi = Z_new / (d d'), on the correlation scale
-    that of Z_new itself (the prox output, never the extrapolated point),
-    with psi^-1 from np.linalg.inv; an iterate that is not positive definite
-    is not converged (_stopping_residual), and a capped solve whose last
-    iterate is not PD returns the PD log-det iterate.
+    asset scale. ADMM's next iterate depends on Theta + U alone, so the
+    solver iterates that one symmetric state v, which is Douglas-Rachford
+    splitting: Z = prox(v) is the elementwise elastic-net prox of the
+    off-diagonals, U = v - Z, the log-det step solves in closed form from
+    one eigendecomposition at 2Z - v, and v <- v + Theta - Z. It starts
+    from v = I (Z = I, U = 0) or from start, the (v, step) a solve on the
+    same S returned. The ADMM step follows residual balancing (sec. 3.4.1);
+    a change by a factor sets v <- Z + U / factor, which keeps Z and rescales
+    the dual. The v map is Anderson-accelerated (_Anderson, Fu, Zhang & Boyd
+    2020), its extrapolation symmetrized and its history also cleared when
+    the step changes. The stopping test is the optimality residual of
+    psi = Z / (d d') for Z = prox of the plain step's v (never of the
+    extrapolated point), with psi^-1 from np.linalg.inv; an iterate that is
+    not positive definite is not converged (_stopping_residual). It runs on
+    every ADMM_CHECK_EVERY-th iteration until a computed residual is at most
+    10 tol, on every iteration after that, and on the last one; the iterates
+    do not depend on it. A capped solve whose last iterate is not PD returns
+    the PD log-det iterate. Returns psi, iterations, converged, residual and
+    the final (v, step).
     """
     p = s.shape[0]
     d = np.sqrt(np.diag(s))
@@ -330,33 +350,37 @@ def _solve_admm(
     off = ~np.eye(p, dtype=bool)
     kappa1 = np.where(off, lam1 / dd, 0.0)
     kappa2 = np.where(off, 2.0 * lam2 / dd**2, 0.0)
-    rho = ADMM_RHO0
-    z, u = np.eye(p), np.zeros((p, p))
+
+    def prox(v, step):
+        return np.sign(v) * np.maximum(np.abs(v) - kappa1 / step, 0.0) / (1.0 + kappa2 / step)
+
+    v, step = (np.eye(p), ADMM_RHO0) if start is None else start
+    z = prox(v, step)
     aa = _Anderson()
+    near = False  # a computed residual reached 10 tol: check every iteration from here
     for it in range(1, max_iter + 1):
-        e, q = np.linalg.eigh(rho * (z - u) - r)
-        theta = symmetrize((q * ((e + np.sqrt(e * e + 4.0 * rho)) / (2.0 * rho))) @ q.T)
-        v = theta + u
-        z_new = np.sign(v) * np.maximum(np.abs(v) - kappa1 / rho, 0.0) / (1.0 + kappa2 / rho)
-        u_new = v - z_new
-        psi = z_new / dd
-        residual = _stopping_residual(psi, s, lam1, lam2, tol)
-        if residual <= tol:
-            return psi, it, True, residual
+        e, q = np.linalg.eigh(step * (2.0 * z - v) - r)
+        theta = symmetrize((q * ((e + np.sqrt(e * e + 4.0 * step)) / (2.0 * step))) @ q.T)
+        v_new = v + theta - z
+        z_new = prox(v_new, step)
+        if near or it % ADMM_CHECK_EVERY == 0 or it == max_iter:
+            psi = z_new / dd
+            residual = _stopping_residual(psi, s, lam1, lam2, tol)
+            if residual <= tol:
+                return psi, it, True, residual, (v_new, step)
+            near = near or residual <= 10.0 * tol
         primal = np.linalg.norm(theta - z_new)
-        dual = rho * np.linalg.norm(z_new - z)
+        dual = step * np.linalg.norm(z_new - z)
         if max(primal, dual) > ADMM_BALANCE * min(primal, dual):  # a new step restarts the history
-            step = ADMM_RHO_STEP if primal > dual else 1.0 / ADMM_RHO_STEP
-            rho, z, u = rho * step, z_new, u_new / step
+            factor = ADMM_RHO_STEP if primal > dual else 1.0 / ADMM_RHO_STEP
+            step, v, z = step * factor, z_new + (v_new - z_new) / factor, z_new
             aa.reset()
             continue
-        x = aa.step(
-            np.concatenate((z_new.ravel(), u_new.ravel())), np.concatenate((z.ravel(), u.ravel()))
-        )
-        z, u = symmetrize(x[: p * p].reshape(p, p)), symmetrize(x[p * p :].reshape(p, p))
+        v = symmetrize(aa.step(v_new.ravel(), v.ravel()).reshape(p, p))
+        z = prox(v, step)
     if not _positive_definite(psi):
         psi, residual = theta / dd, np.inf  # positive definite by construction
-    return psi, max_iter, False, residual
+    return psi, max_iter, False, residual, (v, step)
 
 
 def _solve_ridge(
@@ -396,7 +420,12 @@ def _solve_ridge(
 
 
 def penalized_qml(
-    s: np.ndarray, t: int, penalty: PenaltySpec, opts: SolverOptions | None = None
+    s: np.ndarray,
+    t: int,
+    penalty: PenaltySpec,
+    opts: SolverOptions | None = None,
+    *,
+    start: tuple[np.ndarray, float] | None = None,
 ) -> PrecisionEstimate:
     """Maximize the penalized Gaussian quasi-likelihood over PD precisions.
 
@@ -405,9 +434,11 @@ def penalized_qml(
     the plain inverse, is returned with iterations=0 and no solver run. Any
     rho > 0 yields a finite positive definite maximizer even when s is
     singular, provided its diagonal is positive. A problem with no l1 weight
-    (l2, or elastic with alpha = 1) runs _solve_ridge, every other one ADMM.
-    A solve that exhausts its iteration budget returns the last iterate
-    with converged=False rather than raising.
+    (l2, or elastic with alpha = 1) runs _solve_ridge, every other one ADMM,
+    which starts from start, the state of an earlier ADMM estimate on the
+    same s, when given, and reports its final state in the estimate. A solve
+    that exhausts its iteration budget returns the last iterate with
+    converged=False rather than raising.
     """
     s = check_symmetric(s)
     opts = opts or SolverOptions()
@@ -420,10 +451,13 @@ def penalized_qml(
     l1_share, l2_share = penalty.weights
     lam1 = rho_eff * l1_share
     lam2 = rho_eff * l2_share
+    state = None
     if penalty.rho > 0.0 and lam1 == 0.0:
         psi, iterations, converged, residual = _solve_ridge(s, lam2, opts.tol, opts.max_iter)
     elif penalty.rho > 0.0:
-        psi, iterations, converged, residual = _solve_admm(s, lam1, lam2, opts.tol, opts.max_iter)
+        psi, iterations, converged, residual, state = _solve_admm(
+            s, lam1, lam2, opts.tol, opts.max_iter, start
+        )
     else:  # the unpenalized maximizer is the plain inverse; a singular s raises here
         psi, iterations = invert_spd(s), 0
         residual = _stopping_residual(psi, s, 0.0, 0.0, opts.tol)
@@ -436,7 +470,9 @@ def penalized_qml(
             iterations,
             residual,
         )
-    return PrecisionEstimate(psi=psi, iterations=iterations, converged=converged, residual=residual)
+    return PrecisionEstimate(
+        psi=psi, iterations=iterations, converged=converged, residual=residual, state=state
+    )
 
 
 def predictive_loglik(psi: np.ndarray, s_holdout: np.ndarray) -> float:
@@ -461,9 +497,13 @@ def tune_rho(
     maximized at rho = 0, so a holdout is forced). Each distinct problem,
     keyed by (rho * l1 share, rho * l2 share), is solved once: rho = 0 is
     one solve for every kind, and an elastic alpha of 0 or 1 reuses the l1
-    or l2 solves. Grid points whose solver fails to converge score -inf.
+    or l2 solves. Each penalty's grid is walked in descending rho, and an
+    ADMM solve starts from the state of the previous converged point
+    (Mazumder & Hastie 2012); after a failed or unconverged point the next
+    one starts cold. Grid points whose solver fails to converge score -inf.
     Ties break toward the smaller rho. Returns (rho_star, [(rho, score),
-    ...]) per penalty, rho_star None when no grid point converged.
+    ...]) per penalty in ascending rho, rho_star None when no grid point
+    converged.
     """
     block = np.asarray(in_sample, dtype=float)
     if block.ndim != 2 or block.shape[0] < 24:
@@ -477,27 +517,28 @@ def tune_rho(
     s_fit = sample_covariance(block[:n_fit])
     s_hold = sample_covariance(block[n_fit:])
 
-    def score(penalty: PenaltySpec) -> float:
+    def score(penalty: PenaltySpec, start) -> tuple[float, tuple | None]:
+        """The point's score and the solver state to start the next point from."""
         try:
-            estimate = penalized_qml(s_fit, n_fit, penalty, opts)
+            estimate = penalized_qml(s_fit, n_fit, penalty, opts, start=start)
         except (SingularMatrixError, DegenerateMatrixError) as exc:
             logger.warning("tuning point rho=%.4g failed: %s", penalty.rho, exc)
-            return -np.inf
+            return -np.inf, None
         if not estimate.converged:
             logger.warning("tuning point rho=%.4g did not converge; scored -inf", penalty.rho)
-            return -np.inf
-        return predictive_loglik(estimate.psi, s_hold)
+            return -np.inf, None
+        return predictive_loglik(estimate.psi, s_hold), estimate.state
 
     scores: dict[tuple[float, ...], float] = {}  # per distinct problem
     results = []
     for kind, alpha in penalties:
-        curve = []
-        for rho in grid:
-            penalty = PenaltySpec(kind=kind, rho=rho, alpha=alpha)
-            key = tuple(rho * share for share in penalty.weights)
+        specs = [PenaltySpec(kind=kind, rho=rho, alpha=alpha) for rho in grid]
+        keys = [tuple(spec.rho * share for share in spec.weights) for spec in specs]
+        start = None
+        for penalty, key in zip(reversed(specs), reversed(keys)):
             if key not in scores:
-                scores[key] = score(penalty)
-            curve.append((rho, scores[key]))
+                scores[key], start = score(penalty, start)
+        curve = [(rho, scores[key]) for rho, key in zip(grid, keys)]
         values = np.asarray([value for _, value in curve])
         best = int(np.argmax(values))  # argmax takes the first (smallest rho) on ties
         results.append((curve[best][0] if np.any(np.isfinite(values)) else None, curve))

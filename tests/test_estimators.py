@@ -214,6 +214,22 @@ class TestPcaPrecision:
 
 
 class TestPenalizedQml:
+    @pytest.fixture(autouse=True)
+    def converged_admm_reports_its_residual(self, monkeypatch):
+        """Every converged ADMM solve in this class reports the stopping
+        residual of the psi it returns, recomputed, and that passes tol."""
+        solve = estimators._solve_admm
+
+        def checked(s, lam1, lam2, tol, *args):
+            result = solve(s, lam1, lam2, tol, *args)
+            psi, _, converged, residual, _ = result
+            if converged:
+                assert residual <= tol
+                assert residual == estimators._stopping_residual(psi, s, lam1, lam2, tol)
+            return result
+
+        monkeypatch.setattr(estimators, "_solve_admm", checked)
+
     def test_rho_zero_equals_sample_inverse_all_kinds(self, rng):
         s = rand_spd(6, rng, cond=30.0)
         ref = sample_precision(sym_eigen(s)).psi
@@ -364,7 +380,7 @@ class TestPenalizedQml:
             assert est.converged, (kind, rho, est.residual)
             assert est.residual <= SolverOptions().tol
             lam1, lam2 = (2.0 * rho / 120 * share for share in penalty.weights)
-            ref, _, converged, _ = estimators._solve_admm(s, lam1, lam2, 1e-12, 10_000)
+            ref, _, converged, _, _ = estimators._solve_admm(s, lam1, lam2, 1e-12, 10_000)
             assert converged
             error = np.abs(est.psi - ref).max() / np.abs(ref).max()
             assert error <= 2e-6, (kind, rho, error)
@@ -401,6 +417,25 @@ class TestPenalizedQml:
         s = sample_covariance(synth_returns(510, 100, np.random.default_rng(0))[:90])
         est = penalized_qml(s, 90, PenaltySpec("l2", 0.1))
         assert est.converged and est.iterations <= 10, est.iterations
+
+    def test_wide_glasso_window_converges(self):
+        # p = 132 > T = 36: residual balancing changed the step on about every
+        # other iteration and the solve stopped at the cap with residual >= 5e-4
+        s = sample_covariance(synth_returns(36, 132, np.random.default_rng(7)))
+        est = penalized_qml(s, 36, PenaltySpec("l1", 1.0))
+        assert est.converged and est.residual <= SolverOptions().tol, (est.iterations, est.residual)
+
+    @pytest.mark.parametrize("kind", ["l1", "elastic"])
+    def test_capped_solve_reports_the_residual_of_its_psi(self, kind):
+        # the residual is skipped on most early iterations, never on the last
+        s = sample_covariance(synth_returns(120, 17, np.random.default_rng(0)))
+        penalty = PenaltySpec(kind, 3.0)
+        opts = SolverOptions(max_iter=7)
+        est = penalized_qml(s, 120, penalty, opts)
+        assert not est.converged and est.iterations == 7
+        lam1, lam2 = (2.0 * 3.0 / 120 * share for share in penalty.weights)
+        assert est.residual == estimators._stopping_residual(est.psi, s, lam1, lam2, opts.tol)
+        assert opts.tol < est.residual < np.inf
 
     def test_capped_solve_returns_positive_definite(self):
         # early iterates on a singular window can be indefinite; a solve cut
@@ -485,7 +520,7 @@ class TestRidgeFixedPoint:
     def test_matches_tight_admm(self, window, t, rho):
         s = window()
         lam2 = 2.0 * rho / t
-        ref, _, converged, _ = estimators._solve_admm(s, 0.0, lam2, 1e-11, 10_000)
+        ref, _, converged, _, _ = estimators._solve_admm(s, 0.0, lam2, 1e-11, 10_000)
         assert converged
         est = penalized_qml(s, t, PenaltySpec("l2", rho))
         assert est.converged and est.iterations <= 10, est.iterations
@@ -620,23 +655,59 @@ class TestTuneRho:
         [(_, curve)] = tune_rho(block, [("l2", 0.5)], grid)
         assert [rho for rho, _ in curve] == grid
 
+    def test_warm_started_path_matches_cold_solves(self):
+        # a p = 17, T = 120 block on the paper's 31-point grid: each ADMM solve
+        # down the path starts from its neighbour's state
+        block = synth_returns(120, 17, np.random.default_rng(0))
+        grid = [round(0.1 * k, 10) for k in range(31)]
+        n_fit = int(np.ceil(estimators.TUNE_FIT_SHARE * 120))
+        s_fit, s_hold = sample_covariance(block[:n_fit]), sample_covariance(block[n_fit:])
+        tuned = tune_rho(block, [("l1", 0.5), ("elastic", 0.5)], grid)
+        for (rho_star, curve), kind in zip(tuned, ("l1", "elastic")):
+            assert [rho for rho, _ in curve] == grid
+            cold = []
+            for rho, warm in curve:
+                est = penalized_qml(s_fit, n_fit, PenaltySpec(kind, rho))
+                assert est.converged
+                cold.append(estimators.predictive_loglik(est.psi, s_hold))
+                assert warm == pytest.approx(cold[-1], rel=1e-6, abs=0.0), (kind, rho)
+            assert rho_star == grid[int(np.argmax(cold))]
+
+    def test_point_after_an_unconverged_one_starts_cold(self, monkeypatch):
+        solves = []
+
+        def spy(s, t, penalty, opts=None, *, start=None):
+            estimate = penalized_qml(s, t, penalty, opts, start=start)
+            solves.append((start, estimate))
+            return estimate
+
+        monkeypatch.setattr(estimators, "penalized_qml", spy)
+        block = synth_returns(120, 17, np.random.default_rng(0))
+        # 15 iterations converge some points of this path and cap others
+        tune_rho(block, [("l1", 0.5)], [0.25, 0.5, 1.0, 2.0, 3.0], SolverOptions(max_iter=15))
+        assert solves[0][0] is None
+        for (_, before), (start, _) in zip(solves, solves[1:]):
+            assert start is (before.state if before.converged else None)
+        converged = [estimate.converged for _, estimate in solves]
+        assert any(converged[:-1]) and not all(converged[:-1])  # both kinds of handover occur
+
     def test_each_distinct_problem_solved_once(self, rng, monkeypatch):
         # rho = 0 is one unpenalized problem for every kind, and an elastic
         # alpha of 0 or 1 poses the l1 or l2 problem
         calls = []
 
-        def counted(s, t, penalty, opts=None):
+        def counted(s, t, penalty, opts=None, *, start=None):
             calls.append((penalty.kind, penalty.rho))
-            return penalized_qml(s, t, penalty, opts)
+            return penalized_qml(s, t, penalty, opts, start=start)
 
         monkeypatch.setattr(estimators, "penalized_qml", counted)
         block = synth_returns(48, 4, rng)
         tune_rho(block, [("l1", 0.5), ("l2", 0.5), ("elastic", 0.5)], [0.0, 0.5, 1.0])
-        assert len(calls) == 7
-        assert calls[0] == ("l1", 0.0) and [rho for _, rho in calls].count(0.0) == 1
+        assert len(calls) == 7  # each penalty's grid walks down from the largest rho
+        assert calls[2] == ("l1", 0.0) and [rho for _, rho in calls].count(0.0) == 1
         calls.clear()
         tune_rho(block, [("l1", 0.5), ("l2", 0.5), ("elastic", 0.0), ("elastic", 1.0)], [0.0, 0.5])
-        assert calls == [("l1", 0.0), ("l1", 0.5), ("l2", 0.5)]
+        assert calls == [("l1", 0.5), ("l1", 0.0), ("l2", 0.5)]
 
     def test_joint_curves_equal_curves_tuned_alone(self, rng):
         block = synth_returns(48, 5, rng)

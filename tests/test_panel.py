@@ -113,6 +113,80 @@ class TestParse:
         assert list(panel([199012, 199101]).dates) == [199012, 199101]
 
 
+def cell_by_cell(rows, width):
+    """The reference parse: each cell through float() in file order, sentinels
+    by exact equality; (values, mask) or the first bad cell's error message."""
+    values, mask = [], []
+    for lineno, row in enumerate(rows, start=2):
+        for col, cell in enumerate(row, start=2):
+            try:
+                value = float(cell)
+            except ValueError:
+                return f"row {lineno}: unparseable numeric {cell!r} in column {col}"
+            if value in (-99.99, -999.0):
+                values.append(np.nan)
+                mask.append(True)
+            elif not np.isfinite(value):
+                return f"row {lineno}: non-finite value {cell!r} in column {col}"
+            else:
+                values.append(value)
+                mask.append(False)
+    return np.reshape(values, (-1, width)), np.reshape(mask, (-1, width))
+
+
+CELLS = ("1.5", "-2", " 3.25 ", "1_0", "-99.99", "-999", "-999.0", "-9.999e1", "-99.990",
+         "-99.98", "-99.9900001", "-998.9999999", "-100", "nan", "inf", "-inf", "oops", "")
+
+
+class TestParseParity:
+    @given(cells=st.lists(st.sampled_from(CELLS), min_size=12, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_cell_by_cell_parse(self, cells):
+        rows = [cells[k : k + 3] for k in range(0, 12, 3)]
+        text = csv_text([(stamp, *row) for stamp, row in zip(month_stamps(4), rows)])
+        expected = cell_by_cell(rows, 3)
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as err:
+                parse_panel(text)
+            assert str(err.value) == expected
+        else:
+            panel = parse_panel(text)
+            assert np.array_equal(panel.returns, expected[0], equal_nan=True)
+            assert np.array_equal(panel.missing_mask, expected[1])
+
+    @pytest.mark.parametrize(
+        "first,second,message",
+        [
+            ("inf", "oops", "row 2: non-finite value 'inf' in column 3"),
+            ("oops", "inf", "row 2: unparseable numeric 'oops' in column 3"),
+        ],
+    )
+    def test_first_bad_cell_in_file_order_is_reported(self, first, second, message):
+        text = f"date,A,B\n197307,1.0,{first}\n197308,{second},2.0\n"
+        with pytest.raises(ParseError, match="^" + message + "$") as err:
+            parse_panel(text)
+        assert err.value.row == 2
+
+    @pytest.mark.parametrize("later", ["197309,1.0\n", "1973-09,1.0,2.0\n"], ids=["width", "date"])
+    def test_bad_cell_precedes_a_later_bad_row(self, later):
+        text = "date,A,B\n197307,1.0,2.0\n197308,1.0,nan\n" + later
+        with pytest.raises(ParseError, match="^row 3: non-finite value 'nan' in column 3$"):
+            parse_panel(text)
+
+    def test_bad_cell_outside_the_date_range_is_skipped(self):
+        text = "date,A,B\n197307,oops,2.0\n197308,1.0,2.0\n197309,3.0,4.0\n"
+        panel = parse_panel(text, date_range=("1973-08", None))
+        assert panel.returns.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_sentinels_match_by_exact_value(self):
+        text = csv_text(
+            [(197307, "-99.990", "-9.999e1", "-999.0"), (197308, "-99.9900001", "-998.9999999", "-99.98")]
+        )
+        panel = parse_panel(text)
+        assert panel.missing_mask.tolist() == [[True, True, True], [False, False, False]]
+        assert panel.returns[1].tolist() == [-99.9900001, -998.9999999, -99.98]
+
+
 class TestForwardFill:
     def test_fills_from_predecessor(self):
         text = csv_text(
