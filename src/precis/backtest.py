@@ -197,21 +197,23 @@ def _window_weights(
     """
     spec = run.spec
     p = window.shape[1]
-    cond = np.nan
-    zero_fraction = np.nan
+    cond = zero_fraction = np.nan
     converged: bool | None = None
 
     if spec.kind == "equal":
         wv = equal_weights(p)
-    elif spec.kind == "no_short":  # warm start from the previous window, cold after a failure
+    elif spec.kind == "no_short":  # warm from the previous window, else cold from the clipped MVP
         last = run.records[-1] if run.records else None
         start = last.weights.weights if last and last.window_id == window_id - 1 else None
+        if start is None and np.isfinite(condition_number(decomp)):  # a singular S raises below
+            start = np.clip(mvp_weights(decomp).weights, 0.0, None)
+            start /= start.sum()
         wv = no_short_mvp(s, start=start, spectrum=decomp)[0]
     else:
         if spec.kind == "sample":
             estimate = sample_precision(decomp)
         elif spec.kind == "ledoit_wolf":
-            estimate = ledoit_wolf(decomp, ledoit_wolf_intensity(window))
+            estimate = ledoit_wolf(decomp, ledoit_wolf_intensity(window, s))
         elif spec.kind == "pca":
             estimate = pca_precision(decomp)
         else:
@@ -220,8 +222,8 @@ def _window_weights(
             converged = estimate.converged
             off = estimate.psi[~np.eye(p, dtype=bool)]
             zero_fraction = float(np.mean(np.abs(off) < SPARSITY_ZERO_TOL))
-        cond = condition_number(estimate.psi if estimate.spectrum is None else estimate.spectrum)
-        wv = mvp_weights(estimate.psi)
+        source = estimate.psi if estimate.spectrum is None else estimate.spectrum
+        cond, wv = condition_number(source), mvp_weights(source)
 
     return WindowRecord(
         window_id=window_id,
@@ -276,8 +278,8 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
     strategy records the tuning failure and the strategy is unavailable;
     the other strategies still run. Then one pass over the windows fits
     every strategy on each, sharing one sample covariance and one spectrum
-    per window. The no-short QP starts from the previous window's weights,
-    or cold after a failed window; its optimum does not depend on the start.
+    per window. The no-short QP starts from the previous window's weights or
+    else the clipped MVP; its optimum does not depend on the start.
     """
     to_tune = [spec for spec in config.strategies if spec.penalized and spec.rho is None]
     tuned = dict(zip(to_tune, tune_strategies(panel, config, to_tune)))  # checks the panel too

@@ -3,8 +3,8 @@
 Four families: the plain sample inverse, Ledoit-Wolf shrinkage toward a
 scaled identity, a PCA truncation, and penalized quasi-maximum-likelihood
 with l1 / l2 / elastic-net penalties on the off-diagonal entries. The first
-three take the EigenDecomposition of the window's sample covariance, and
-Ledoit-Wolf its intensity too (ledoit_wolf_intensity, from the raw window).
+three take the EigenDecomposition of the window's sample covariance (and
+Ledoit-Wolf an intensity) and return the spectrum that psi inverts.
 
 The penalized problem maximizes, over symmetric positive definite psi,
 
@@ -43,6 +43,7 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .errors import (
 )
 from .linalg import (
     EigenDecomposition,
+    check_spd,
     check_symmetric,
     invert_spd,
     sample_covariance,
@@ -113,7 +115,8 @@ class SolverOptions:
     objective on the correlation scale (entry ij divided by sqrt(S_ii S_jj)),
     so one setting means the same for any units of the returns and any
     spread of asset variances. max_iter bounds the iterations of one solve:
-    ADMM iterations for l1 and elastic, fixed-point steps for l2.
+    ADMM iterations for l1 and elastic, fixed-point steps for l2. ADMM tests
+    tol on some iterations only, so its count can depend on max_iter by up to 3.
     """
 
     tol: float = 1e-6
@@ -128,22 +131,34 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class PrecisionEstimate:
-    """An estimated precision matrix plus solver provenance."""
+    """An estimated precision matrix psi plus solver provenance.
 
-    psi: np.ndarray
-    iterations: int = 0  # penalized solves: ADMM iterations or l2 fixed-point steps
+    The penalized solver returns psi as matrix (Ridge its spectrum too). The
+    spectral estimators return spectrum alone, and psi, its (pseudo-)inverse,
+    is formed on first read; mvp_weights and condition_number take spectrum.
+    """
+
+    matrix: np.ndarray | None = None  # psi as the penalized solver returned it
+    iterations: int = 0  # ADMM iterations, which can vary by up to 3 with max_iter, or l2 steps
     converged: bool = True
     residual: float = 0.0  # optimality residual on the correlation scale
     spectrum: EigenDecomposition | None = None  # of the covariance estimate psi inverts
     state: tuple[np.ndarray, float] | None = None  # ADMM's final (v, step): a start on the same S
 
+    @cached_property
+    def psi(self) -> np.ndarray:
+        if self.matrix is not None:
+            return self.matrix
+        u = self.spectrum.eigenvectors
+        return symmetrize((u * self.spectrum.inverse_eigenvalues) @ u.T)
+
 
 def sample_precision(decomp: EigenDecomposition) -> PrecisionEstimate:
-    """Directly invert the sample covariance from its spectrum; fails on singular windows."""
-    return PrecisionEstimate(psi=invert_spd(decomp), spectrum=decomp)
+    """S^-1 as S's spectrum, checked now as invert_spd checks it: singular windows fail."""
+    return PrecisionEstimate(spectrum=check_spd(decomp))
 
 
-def ledoit_wolf_intensity(window: np.ndarray) -> float:
+def ledoit_wolf_intensity(window: np.ndarray, s: np.ndarray | None = None) -> float:
     """Analytic shrinkage intensity toward the scaled identity.
 
     Ratio of the averaged squared deviation of per-observation outer
@@ -152,13 +167,14 @@ def ledoit_wolf_intensity(window: np.ndarray) -> float:
     covariance convention internally, as in the original derivation. The
     deviations sum in closed form: sum_t ||x_t x_t' - S_n||_F^2 =
     sum_t ||x_t||^4 - n ||S_n||_F^2, since sum_t x_t' S_n x_t = n ||S_n||_F^2.
+    s, the window's (n - 1)-denominator sample covariance, saves recomputing X'X.
     """
     x = np.asarray(window, dtype=float)
     n, p = x.shape
     if n < 2:
         raise InsufficientDataError("need at least 2 observations")
     xc = x - x.mean(axis=0)
-    s_n = xc.T @ xc / n
+    s_n = xc.T @ xc / n if s is None else s * ((n - 1) / n)
     mu = float(np.trace(s_n)) / p
     d2 = float(np.sum((s_n - mu * np.eye(p)) ** 2))
     if d2 <= 0:
@@ -173,7 +189,7 @@ def ledoit_wolf(decomp: EigenDecomposition, alpha: float) -> PrecisionEstimate:
 
     decomp is S's spectrum, whose eigenvectors the shrunk matrix keeps;
     sigma2bar, the mean of diag S, is its mean eigenvalue. The backtest
-    takes alpha from ledoit_wolf_intensity on the raw window.
+    takes alpha from ledoit_wolf_intensity; the estimate keeps the shrunk spectrum.
     """
     sigma2bar = float(np.mean(decomp.eigenvalues))
     if sigma2bar <= 0:
@@ -181,8 +197,7 @@ def ledoit_wolf(decomp: EigenDecomposition, alpha: float) -> PrecisionEstimate:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"shrinkage intensity must lie in [0, 1], got {alpha}")
     lam = (1.0 - alpha) * decomp.eigenvalues + alpha * sigma2bar
-    shrunk = EigenDecomposition(eigenvalues=lam, eigenvectors=decomp.eigenvectors)
-    return PrecisionEstimate(invert_spd(shrunk), spectrum=shrunk)
+    return PrecisionEstimate(spectrum=check_spd(EigenDecomposition(lam, decomp.eigenvectors)))
 
 
 def pca_precision(decomp: EigenDecomposition, threshold: float = 0.99) -> PrecisionEstimate:
@@ -196,25 +211,18 @@ def pca_precision(decomp: EigenDecomposition, threshold: float = 0.99) -> Precis
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    lam = decomp.eigenvalues[::-1]
-    vecs = decomp.eigenvectors[:, ::-1]
-    positive = np.maximum(lam, 0.0)
+    lam = decomp.eigenvalues
+    positive = np.maximum(lam[::-1], 0.0)
     total = float(positive.sum())
     if total <= 0:
         raise DegenerateMatrixError("window has zero total variance")
     shares = np.cumsum(positive) / total
-    k = int(np.searchsorted(shares, threshold - 1e-15) + 1)
-    k = min(k, len(lam))
-    retained = lam[:k]
-    if retained[-1] <= 0:
+    k = min(int(np.searchsorted(shares, threshold - 1e-15) + 1), len(lam))
+    if lam[-k] <= 0:
         raise DegenerateMatrixError("threshold reaches into the null spectrum")
-    components = vecs[:, :k]
-    kept = decomp.eigenvalues.copy()
+    kept = lam.copy()
     kept[: len(lam) - k] = 0.0  # ascending order: the dropped ones come first
-    return PrecisionEstimate(
-        psi=symmetrize((components / retained) @ components.T),
-        spectrum=EigenDecomposition(eigenvalues=kept, eigenvectors=decomp.eigenvectors),
-    )
+    return PrecisionEstimate(spectrum=EigenDecomposition(kept, decomp.eigenvectors))
 
 
 # --------------------------------------------------------------------------
@@ -403,7 +411,8 @@ def _solve_ridge(
     (_Anderson). psi(D) is stationary off the diagonal, and its diagonal
     gradient is 2 lam2 (psi_ii - D_i), which the residual divides by S_ii:
     the residual is 2 lam2 times the step's diagonal move relative to S, and
-    a step converges when it passes tol.
+    a step converges when it passes tol. psi^-1's spectrum V diag(1/phi) V'
+    is returned too, ascending as phi falls when a rises.
     """
     target = 1.0 / np.diag(s)
     aa = _Anderson()
@@ -413,10 +422,9 @@ def _solve_ridge(
         phi = np.where(a >= 0.0, 2.0 / (a + root), (root - a) / (4.0 * lam2))
         psi = symmetrize((v * phi) @ v.T)
         residual = _optimality_residual(psi, (v / phi) @ v.T, s, 0.0, lam2)
-        if residual <= tol:
-            return psi, it, True, residual
+        if residual <= tol or it == max_iter:
+            return psi, it, residual <= tol, residual, EigenDecomposition(1.0 / phi, v)
         target = aa.step(np.diag(psi).copy(), target)
-    return psi, max_iter, False, residual
 
 
 def penalized_qml(
@@ -451,9 +459,11 @@ def penalized_qml(
     l1_share, l2_share = penalty.weights
     lam1 = rho_eff * l1_share
     lam2 = rho_eff * l2_share
-    state = None
+    state = spectrum = None
     if penalty.rho > 0.0 and lam1 == 0.0:
-        psi, iterations, converged, residual = _solve_ridge(s, lam2, opts.tol, opts.max_iter)
+        psi, iterations, converged, residual, spectrum = _solve_ridge(
+            s, lam2, opts.tol, opts.max_iter
+        )
     elif penalty.rho > 0.0:
         psi, iterations, converged, residual, state = _solve_admm(
             s, lam1, lam2, opts.tol, opts.max_iter, start
@@ -470,9 +480,7 @@ def penalized_qml(
             iterations,
             residual,
         )
-    return PrecisionEstimate(
-        psi=psi, iterations=iterations, converged=converged, residual=residual, state=state
-    )
+    return PrecisionEstimate(psi, iterations, converged, residual, spectrum=spectrum, state=state)
 
 
 def predictive_loglik(psi: np.ndarray, s_holdout: np.ndarray) -> float:

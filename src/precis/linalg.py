@@ -31,6 +31,12 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    @property
+    def inverse_eigenvalues(self) -> np.ndarray:
+        """1 / eigenvalues, with 0 for an exact zero: the spectrum of the (pseudo-)inverse."""
+        lam = self.eigenvalues
+        return np.divide(1.0, lam, out=np.zeros_like(lam), where=lam != 0.0)
+
 
 def check_symmetric(a: np.ndarray) -> np.ndarray:
     """Validate elementwise symmetry and return the matrix as float64.
@@ -100,18 +106,18 @@ def condition_number(a: np.ndarray | EigenDecomposition) -> float:
     return lam_max / lam_min
 
 
-def invert_spd(a: np.ndarray | EigenDecomposition) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via its spectrum.
-
-    Raises SingularMatrixError when the smallest eigenvalue falls at or
-    below the relative cutoff (the failure mode of the sample estimator on
-    windows with more assets than observations).
-    """
-    decomp = a if isinstance(a, EigenDecomposition) else sym_eigen(a)
+def check_spd(decomp: EigenDecomposition) -> EigenDecomposition:
+    """decomp, if its matrix is positive definite; else NotPSDError or SingularMatrixError."""
     lam_min, lam_max, eps_sing = _classify_spectrum(decomp.eigenvalues)
     if lam_min <= eps_sing:
         raise SingularMatrixError(
             f"smallest eigenvalue {lam_min:.6e} at or below cutoff {eps_sing:.6e}"
         )
+    return decomp
+
+
+def invert_spd(a: np.ndarray | EigenDecomposition) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix via its spectrum; raises as check_spd."""
+    decomp = check_spd(a if isinstance(a, EigenDecomposition) else sym_eigen(a))
     u = decomp.eigenvectors
     return symmetrize((u / decomp.eigenvalues) @ u.T)

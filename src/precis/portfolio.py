@@ -44,12 +44,21 @@ class KktCertificate:
     iterations: int
 
 
-def mvp_weights(psi: np.ndarray) -> WeightVector:
-    """Global minimum-variance weights psi e / (e' psi e)."""
-    psi = check_symmetric(psi)
-    row_sums = psi.sum(axis=1)
+def mvp_weights(psi: np.ndarray | EigenDecomposition) -> WeightVector:
+    """Global minimum-variance weights psi e / (e' psi e); e' psi e ~ 0 raises.
+
+    psi is the precision or the EigenDecomposition U diag(lambda) U' of the
+    covariance it inverts: then psi e = U (U'e / lambda) in O(p^2), with exact
+    zero eigenvalues (PCA's dropped components) left out, a pseudo-inverse.
+    """
+    if isinstance(psi, EigenDecomposition):
+        u, inverse = psi.eigenvectors, psi.inverse_eigenvalues
+        row_sums, norm = u @ (inverse * u.sum(axis=0)), np.linalg.norm(inverse)
+    else:
+        psi = check_symmetric(psi)
+        row_sums, norm = psi.sum(axis=1), np.linalg.norm(psi)
     denom = float(row_sums.sum())
-    if abs(denom) < 1e-12 * max(float(np.linalg.norm(psi)), 1e-300):
+    if abs(denom) < 1e-12 * max(float(norm), 1e-300):
         raise DegenerateMatrixError("e' psi e is numerically zero; MVP undefined")
     w = row_sums / denom
     return WeightVector(weights=w / w.sum())
@@ -88,13 +97,10 @@ def no_short_mvp(
 
     w = np.full(p, 1.0 / p) if start is None else np.array(start, dtype=float)
     free = w > 0.0
-    ones_cache = np.ones(p)
 
     def eqp(idx: np.ndarray) -> np.ndarray:
-        rhs = ones_cache[: idx.size]
-        sub = s[np.ix_(idx, idx)]
         try:
-            y = np.linalg.solve(sub, rhs)
+            y = np.linalg.solve(s[np.ix_(idx, idx)], np.ones(idx.size))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"free-set covariance block is singular: {exc}") from exc
         total = float(y.sum())
@@ -117,13 +123,10 @@ def no_short_mvp(
             violated = pinned[grad[pinned] < lam - release_tol]
             if violated.size == 0:
                 res_free = float(np.abs(grad[idx] - lam).max())
-                res_pinned = (
-                    float(np.maximum(lam - grad[pinned], 0.0).max()) if pinned.size else 0.0
-                )
-                cert = KktCertificate(
+                res_pinned = float(np.maximum(lam - grad[pinned], 0.0).max(initial=0.0))
+                return WeightVector(weights=w), KktCertificate(
                     multiplier=lam, residual=max(res_free, res_pinned), iterations=iterations
                 )
-                return WeightVector(weights=w), cert
             free[int(violated.min())] = True
         else:
             direction = np.zeros(p)

@@ -281,6 +281,53 @@ class TestSharedWindowWork:
         assert all(run.n_success == 10 for run in runs.values())
         assert calls == {"sample_covariance": 10, "sym_eigen": 10}
 
+    def test_spectral_strategies_form_no_precision(self, rng, monkeypatch):
+        # S/LW/PCA and Ridge take weights and condition numbers from a spectrum:
+        # the window's one sym_eigen, or Ridge's own
+        calls = {"sym_eigen": 0, "invert_spd": 0, "lazy_psi": 0}
+        for name in ("sym_eigen", "invert_spd"):
+            original = getattr(linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (precis, linalg, estimators, portfolio, backtest):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        lazy = estimators.PrecisionEstimate.psi
+
+        def psi(estimate):
+            calls["lazy_psi"] += estimate.matrix is None
+            return lazy.func(estimate)
+
+        monkeypatch.setattr(estimators.PrecisionEstimate, "psi", property(psi))
+        strategies = NON_PENALIZED + (StrategySpec("Ridge-MVP", "qml_l2", rho=0.5),)
+        panel = make_panel(synth_returns(40, 6, rng))
+        runs = run_rolling(panel, RollingConfig(strategies=strategies, window_length=30))
+        assert all(run.n_success == 10 for run in runs.values())
+        assert calls == {"sym_eigen": 10, "invert_spd": 0, "lazy_psi": 0}
+
+    def test_no_short_starts_cold_from_the_clipped_mvp(self, rng, monkeypatch):
+        calls = []
+
+        def spy(*args, _original=portfolio.no_short_mvp, **kwargs):
+            result = _original(*args, **kwargs)
+            calls.append((kwargs["start"], result[1].iterations))
+            return result
+
+        monkeypatch.setattr(backtest, "no_short_mvp", spy)
+        returns = synth_returns(123, 40, rng)
+        config = RollingConfig(strategies=(StrategySpec("JM-MVP", "no_short"),), window_length=120)
+        run = run_rolling(make_panel(returns), config)["JM-MVP"]
+        assert run.n_success == 3
+        s = sample_covariance(returns[:120])
+        clipped = np.clip(mvp_weights(sym_eigen(s)).weights, 0.0, None)
+        start, iterations = calls[0]
+        assert np.array_equal(start, clipped / clipped.sum())
+        assert iterations < no_short_mvp(s)[1].iterations  # fewer steps than from equal weights
+        assert np.abs(run.records[0].weights.weights - no_short_mvp(s)[0].weights).max() <= 1e-12
+
     def test_matches_strategies_rebuilt_one_at_a_time(self, rng):
         plain = synth_returns(45, 8, rng)
         # a ninth column that nearly repeats the first: the 0.99 share drops a component

@@ -134,6 +134,12 @@ class TestLedoitWolf:
         assert b2 < d2  # the intensity is not clipped, so the comparison has teeth
         assert ledoit_wolf_intensity(x) == pytest.approx(b2 / d2, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n,p", [(60, 8), (120, 100), (20, 30), (36, 40)])
+    def test_intensity_from_the_window_covariance(self, rng, n, p):
+        x = synth_returns(n, p, rng)
+        alpha = ledoit_wolf_intensity(x)
+        assert ledoit_wolf_intensity(x, sample_covariance(x)) == pytest.approx(alpha, rel=1e-12)
+
     def test_spectrum_input_matches_matrix_input(self, rng):
         # oracle: the shrunk covariance built and inverted as a dense matrix
         window = synth_returns(40, 6, rng)
@@ -579,6 +585,16 @@ class TestRidgeFixedPoint:
         monkeypatch.setattr(estimators, "_solve_admm", admm)
         est = penalized_qml(window(), 120, PenaltySpec(kind, rho, alpha=1.0))
         assert est.converged and est.residual <= SolverOptions().tol
+
+    def test_reports_the_spectrum_of_psi_inverse(self):
+        s = sample_covariance(synth_returns(36, 40, np.random.default_rng(0)))
+        est = penalized_qml(s, 36, PenaltySpec("l2", 0.5))
+        lam, vecs = est.spectrum.eigenvalues, est.spectrum.eigenvectors
+        assert np.all(np.diff(lam) >= 0)  # ascending, as from sym_eigen
+        inverse = np.linalg.inv(est.psi)
+        assert np.abs((vecs * lam) @ vecs.T - inverse).max() <= 1e-10 * np.abs(inverse).max()
+        assert condition_number(est.spectrum) == pytest.approx(condition_number(est.psi), rel=1e-10)
+        assert penalized_qml(s, 36, PenaltySpec("l1", 0.5)).spectrum is None  # ADMM gives psi alone
 
     def test_decimal_returns_converge_in_few_steps(self):
         s = sample_covariance(synth_returns(120, 49, np.random.default_rng(0))) / 1e4

@@ -5,14 +5,25 @@ from hypothesis import strategies as st
 
 from conftest import rand_psd_singular, rand_spd, synth_returns
 from precis import (
+    EigenDecomposition,
     equal_weights,
     invert_spd,
+    ledoit_wolf,
+    ledoit_wolf_intensity,
     mvp_weights,
     no_short_mvp,
+    pca_precision,
     sample_covariance,
+    sample_precision,
     sym_eigen,
 )
-from precis.errors import DegenerateMatrixError, NonconvergenceError, SingularMatrixError
+from precis.errors import (
+    DegenerateMatrixError,
+    NonconvergenceError,
+    NotPSDError,
+    PrecisError,
+    SingularMatrixError,
+)
 
 
 class TestMvpWeights:
@@ -47,6 +58,81 @@ class TestMvpWeights:
         assert np.allclose(
             mvp_weights(psi).weights, mvp_weights(scale * psi).weights, atol=1e-12
         )
+
+
+def _gap(a, b):
+    """Largest weight difference relative to the largest weight of b."""
+    return np.abs(a.weights - b.weights).max() / np.abs(b.weights).max()
+
+
+def _outcome(build):
+    """build()'s weights, or its error as (type, message)."""
+    try:
+        return build()
+    except PrecisError as exc:
+        return type(exc), str(exc)
+
+
+class TestSpectralMvpWeights:
+    """mvp_weights from a covariance spectrum against the dense precision it determines."""
+
+    def test_random_spd_spectra(self, rng):
+        for _ in range(40):
+            p = int(rng.integers(2, 40))
+            decomp = sym_eigen(rand_spd(p, rng, cond=10 ** rng.uniform(0, 3)))
+            assert _gap(mvp_weights(decomp), mvp_weights(invert_spd(decomp))) <= 1e-12
+
+    def test_ledoit_wolf_spectra(self, rng):
+        for n, p in ((60, 8), (30, 40), (120, 100)):
+            window = synth_returns(n, p, rng)
+            s = sample_covariance(window)
+            alpha = ledoit_wolf_intensity(window, s)
+            # oracle: the shrunk covariance built and inverted as a dense matrix
+            dense = invert_spd((1 - alpha) * s + alpha * np.diag(s).mean() * np.eye(p))
+            spectrum = ledoit_wolf(sym_eigen(s), alpha).spectrum
+            assert _gap(mvp_weights(spectrum), mvp_weights(dense)) <= 1e-12
+
+    def test_rank_k_pca_spectra(self, rng):
+        s = sample_covariance(synth_returns(60, 12, rng))
+        lam, vecs = np.linalg.eigh(s)
+        for threshold in (0.3, 0.6, 0.9, 0.99, 1.0):
+            est = pca_precision(sym_eigen(s), threshold)
+            k = int(np.count_nonzero(est.spectrum.eigenvalues))
+            # oracle: V_k diag(1/lambda_k) V_k' from numpy's eigh, largest k
+            dense = (vecs[:, -k:] / lam[-k:]) @ vecs[:, -k:].T
+            assert _gap(mvp_weights(est.spectrum), mvp_weights(dense)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["singular", "negative", "zero_normalizer"])
+    def test_failures_match_the_dense_path(self, rng, case):
+        if case == "singular":  # p = 12 > T = 8
+            decomp = sym_eigen(sample_covariance(rng.normal(size=(8, 12))))
+            builders = (sample_precision, lambda d: ledoit_wolf(d, 0.0))
+        elif case == "negative":
+            lam = np.linspace(-1.0, 4.0, 5)
+            decomp = EigenDecomposition(lam, np.linalg.qr(rng.normal(size=(5, 5)))[0])
+            builders = (sample_precision, lambda d: ledoit_wolf(d, 0.0))
+        else:  # all variance off e: PCA keeps no component with any weight on it
+            basis = np.linalg.qr(np.column_stack([np.ones(4), rng.normal(size=(4, 3))]))[0]
+            decomp = EigenDecomposition(np.array([1e-6, 1.0, 2.0, 3.0]), basis)
+            builders = (pca_precision,)
+        expected = {
+            "singular": SingularMatrixError,
+            "negative": NotPSDError,
+            "zero_normalizer": DegenerateMatrixError,
+        }[case]
+        for build in builders:
+            dense = _outcome(lambda: mvp_weights(build(decomp).psi))
+            spectral = _outcome(lambda: mvp_weights(build(decomp).spectrum))
+            assert dense == spectral
+            assert dense[0] is expected
+        if case != "zero_normalizer":  # the estimators raise what invert_spd raises
+            assert _outcome(lambda: invert_spd(decomp)) == dense
+
+    def test_zero_normalizer_on_a_spectrum(self):
+        # the covariance spectrum that psi = [[1, -1], [-1, 1]] pseudo-inverts
+        vecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        with pytest.raises(DegenerateMatrixError, match="numerically zero"):
+            mvp_weights(EigenDecomposition(np.array([0.0, 0.5]), vecs))
 
 
 class TestEqualWeights:
