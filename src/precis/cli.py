@@ -321,6 +321,7 @@ def cmd_tune(config: RunConfig) -> int:
         config, lambda ds, panel: tune_strategies(panel, config.rolling, penalized)
     )
     summary: dict[str, dict[str, float | None]] = {}
+    grid = config.rolling.tuning_grid
     for ds, tuned in results:
         summary[ds.name] = {}
         for spec, (rho_star, curve, error) in zip(penalized, tuned):
@@ -328,7 +329,8 @@ def cmd_tune(config: RunConfig) -> int:
             summary[ds.name][spec.name] = rho_star
             if curve is not None:
                 _write_curve(config.out_dir, ds.name, spec.name, curve)
-            status = f"rho*={rho_star}" if error is None else f"no rho* ({error})"
+            endpoint = " (grid endpoint)" if rho_star in (grid[0], grid[-1]) else ""
+            status = f"rho*={rho_star}{endpoint}" if error is None else f"no rho* ({error})"
             print(f"{ds.name} {spec.name}: {status}")
     atomic_write(config.out_dir / "tune.json", dump_json(summary))
     return 0

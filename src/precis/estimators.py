@@ -133,9 +133,10 @@ class SolverOptions:
 class PrecisionEstimate:
     """An estimated precision matrix psi plus solver provenance.
 
-    The penalized solver returns psi as matrix (Ridge its spectrum too). The
-    spectral estimators return spectrum alone, and psi, its (pseudo-)inverse,
-    is formed on first read; mvp_weights and condition_number take spectrum.
+    Each penalized solve builds its own: psi as matrix, and Ridge the
+    spectrum of psi^-1, ADMM its final state. The spectral estimators return
+    spectrum alone, and psi, its (pseudo-)inverse, is formed on first read;
+    mvp_weights and condition_number take spectrum.
     """
 
     matrix: np.ndarray | None = None  # psi as the penalized solver returned it
@@ -325,7 +326,7 @@ def _solve_admm(
     tol: float,
     max_iter: int,
     start: tuple[np.ndarray, float] | None = None,
-) -> tuple[np.ndarray, int, bool, float, tuple[np.ndarray, float]]:
+) -> PrecisionEstimate:
     """Graphical-lasso ADMM (Boyd et al. 2011, sec. 6.5) on the correlation matrix.
 
     With d = sqrt(diag S), psi = Z / (d d') turns the problem into one on
@@ -348,8 +349,8 @@ def _solve_admm(
     every ADMM_CHECK_EVERY-th iteration until a computed residual is at most
     10 tol, on every iteration after that, and on the last one; the iterates
     do not depend on it. A capped solve whose last iterate is not PD returns
-    the PD log-det iterate. Returns psi, iterations, converged, residual and
-    the final (v, step).
+    the PD log-det iterate. Either way the estimate's state is the final
+    (v, step).
     """
     p = s.shape[0]
     d = np.sqrt(np.diag(s))
@@ -375,7 +376,7 @@ def _solve_admm(
             psi = z_new / dd
             residual = _stopping_residual(psi, s, lam1, lam2, tol)
             if residual <= tol:
-                return psi, it, True, residual, (v_new, step)
+                return PrecisionEstimate(psi, it, True, residual, state=(v_new, step))
             near = near or residual <= 10.0 * tol
         primal = np.linalg.norm(theta - z_new)
         dual = step * np.linalg.norm(z_new - z)
@@ -388,12 +389,12 @@ def _solve_admm(
         z = prox(v, step)
     if not _positive_definite(psi):
         psi, residual = theta / dd, np.inf  # positive definite by construction
-    return psi, max_iter, False, residual, (v, step)
+    return PrecisionEstimate(psi, max_iter, False, residual, state=(v, step))
 
 
 def _solve_ridge(
     s: np.ndarray, lam2: float, tol: float, max_iter: int
-) -> tuple[np.ndarray, int, bool, float]:
+) -> PrecisionEstimate:
     """The l2 problem as an Anderson-accelerated fixed point in its unpenalized diagonal.
 
     With only off-diagonals penalized, the optimum solves
@@ -411,8 +412,8 @@ def _solve_ridge(
     (_Anderson). psi(D) is stationary off the diagonal, and its diagonal
     gradient is 2 lam2 (psi_ii - D_i), which the residual divides by S_ii:
     the residual is 2 lam2 times the step's diagonal move relative to S, and
-    a step converges when it passes tol. psi^-1's spectrum V diag(1/phi) V'
-    is returned too, ascending as phi falls when a rises.
+    a step converges when it passes tol. The estimate carries psi^-1's
+    spectrum V diag(1/phi) V', ascending as phi falls when a rises.
     """
     target = 1.0 / np.diag(s)
     aa = _Anderson()
@@ -423,7 +424,7 @@ def _solve_ridge(
         psi = symmetrize((v * phi) @ v.T)
         residual = _optimality_residual(psi, (v / phi) @ v.T, s, 0.0, lam2)
         if residual <= tol or it == max_iter:
-            return psi, it, residual <= tol, residual, EigenDecomposition(1.0 / phi, v)
+            return PrecisionEstimate(psi, it, residual <= tol, residual, EigenDecomposition(1.0 / phi, v))
         target = aa.step(np.diag(psi).copy(), target)
 
 
@@ -439,14 +440,14 @@ def penalized_qml(
 
     s is the sample covariance of a window of t observations. With rho = 0
     the problem is unconstrained and requires a nonsingular s; its optimum,
-    the plain inverse, is returned with iterations=0 and no solver run. Any
-    rho > 0 yields a finite positive definite maximizer even when s is
-    singular, provided its diagonal is positive. A problem with no l1 weight
-    (l2, or elastic with alpha = 1) runs _solve_ridge, every other one ADMM,
-    which starts from start, the state of an earlier ADMM estimate on the
-    same s, when given, and reports its final state in the estimate. A solve
-    that exhausts its iteration budget returns the last iterate with
-    converged=False rather than raising.
+    the plain inverse, is returned with iterations=0 and no solver run,
+    converged if its residual passes tol. Any rho > 0 yields a finite
+    positive definite maximizer even when s is singular, provided its
+    diagonal is positive. A problem with no l1 weight (l2, or elastic with
+    alpha = 1) returns _solve_ridge's estimate, any other ADMM's, started
+    from start, the state of an earlier ADMM estimate on the same s. A solve
+    that exhausts its budget returns its last iterate with converged=False;
+    each unconverged estimate is logged once, here, as a warning.
     """
     s = check_symmetric(s)
     opts = opts or SolverOptions()
@@ -459,28 +460,24 @@ def penalized_qml(
     l1_share, l2_share = penalty.weights
     lam1 = rho_eff * l1_share
     lam2 = rho_eff * l2_share
-    state = spectrum = None
-    if penalty.rho > 0.0 and lam1 == 0.0:
-        psi, iterations, converged, residual, spectrum = _solve_ridge(
-            s, lam2, opts.tol, opts.max_iter
-        )
-    elif penalty.rho > 0.0:
-        psi, iterations, converged, residual, state = _solve_admm(
-            s, lam1, lam2, opts.tol, opts.max_iter, start
-        )
-    else:  # the unpenalized maximizer is the plain inverse; a singular s raises here
-        psi, iterations = invert_spd(s), 0
+    if penalty.rho == 0.0:  # the plain inverse; a singular s raises here
+        psi = invert_spd(s)
         residual = _stopping_residual(psi, s, 0.0, 0.0, opts.tol)
-        converged = residual <= opts.tol
-    if not converged:
+        estimate = PrecisionEstimate(psi, 0, residual <= opts.tol, residual)
+    elif lam1 == 0.0:
+        estimate = _solve_ridge(s, lam2, opts.tol, opts.max_iter)
+    else:
+        estimate = _solve_admm(s, lam1, lam2, opts.tol, opts.max_iter, start)
+    if not estimate.converged:
         logger.warning(
-            "penalized_qml (%s, rho=%.4g) stopped after %d iterations, residual %.3e",
+            "penalized_qml (%s, rho=%.4g) not converged: residual %.3e above tol %.3g, %d iterations",
             penalty.kind,
             penalty.rho,
-            iterations,
-            residual,
+            estimate.residual,
+            opts.tol,
+            estimate.iterations,
         )
-    return PrecisionEstimate(psi, iterations, converged, residual, spectrum=spectrum, state=state)
+    return estimate
 
 
 def predictive_loglik(psi: np.ndarray, s_holdout: np.ndarray) -> float:
@@ -532,8 +529,7 @@ def tune_rho(
         except (SingularMatrixError, DegenerateMatrixError) as exc:
             logger.warning("tuning point rho=%.4g failed: %s", penalty.rho, exc)
             return -np.inf, None
-        if not estimate.converged:
-            logger.warning("tuning point rho=%.4g did not converge; scored -inf", penalty.rho)
+        if not estimate.converged:  # penalized_qml has logged it
             return -np.inf, None
         return predictive_loglik(estimate.psi, s_hold), estimate.state
 

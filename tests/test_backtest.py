@@ -119,6 +119,31 @@ class TestRunRolling:
         expected = sigma2_mvp * (t_len - 2) / (t_len - p - 2)
         assert abs(pooled.var(ddof=1) - expected) <= 0.15 * expected
 
+    def test_penalized_mvps_beat_sample_mvp_on_the_true_covariance(self):
+        # the paper's claim at p/T = 0.8: a one-factor truth, 8 windows of
+        # T = 50 at p = 40, every penalized MVP at the fixed code rho 3
+        p, t_len, windows = 40, 50, 8
+        gen = np.random.default_rng(0)
+        loadings = 0.7 + 0.6 * gen.random(p)
+        sigma = 16.0 * (0.3 * np.outer(loadings, loadings) + 0.7 * np.eye(p))
+        returns = gen.normal(size=(t_len + windows, p)) @ np.linalg.cholesky(sigma).T
+        strategies = (
+            StrategySpec("S-MVP", "sample"),
+            StrategySpec("LW-MVP", "ledoit_wolf"),
+            StrategySpec("Glasso-MVP", "qml_l1", rho=3.0),
+            StrategySpec("Ridge-MVP", "qml_l2", rho=3.0),
+            StrategySpec("EN-MVP", "qml_elastic", rho=3.0),
+        )
+        runs = run_rolling(make_panel(returns), RollingConfig(strategies=strategies, window_length=t_len))
+        assert all(run.n_success == windows for run in runs.values())
+        true_variance = {
+            name: np.mean([rec.weights.weights @ sigma @ rec.weights.weights for rec in run.records])
+            for name, run in runs.items()
+        }
+        # over the oracle MVP's variance this draw gives S 4.85, LW 1.31, Glasso 1.63, Ridge 2.48, EN 1.85
+        for name in ("Glasso-MVP", "Ridge-MVP", "EN-MVP"):
+            assert true_variance[name] < true_variance["S-MVP"], true_variance
+
     def test_tuned_rho_recorded_and_curve_exposed(self, rng):
         panel = make_panel(synth_returns(40, 4, rng))
         config = RollingConfig(

@@ -113,6 +113,33 @@ def test_tune_curve_covers_grid(tmp_path, rng):
     assert summary["toy"]["Ridge-MVP"] is not None
 
 
+def test_tune_stdout_flags_a_grid_endpoint(tmp_path, capsys):
+    block = synth_returns(120, 17, np.random.default_rng(0))
+    (tmp_path / "toy.csv").write_text(panel_csv(np.vstack([block, block[:1]])))
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        yaml.safe_dump(
+            {
+                "window_length": 120,
+                "out": "out",
+                "grid": {"start": 0.0, "stop": 90.0, "step": 30.0},
+                "datasets": [{"name": "toy", "path": "toy.csv"}],
+                "strategies": [
+                    {"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"},
+                    {"name": "Ridge-MVP", "kind": "qml_l2", "rho": "tune"},
+                ],
+            }
+        )
+    )
+    assert main(["tune", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "toy Glasso-MVP: rho*=60.0",
+        "toy Ridge-MVP: rho*=90.0 (grid endpoint)",
+    ]
+    summary = json.loads((tmp_path / "out" / "tune.json").read_text())
+    assert summary == {"toy": {"Glasso-MVP": 60.0, "Ridge-MVP": 90.0}}  # the flag is stdout only
+
+
 def test_tune_total_failure_is_content_not_crash(workspace):
     # the wide dataset cannot converge with a starved budget; the run still
     # exits 0 and records a null rho

@@ -228,10 +228,9 @@ class TestPenalizedQml:
 
         def checked(s, lam1, lam2, tol, *args):
             result = solve(s, lam1, lam2, tol, *args)
-            psi, _, converged, residual, _ = result
-            if converged:
-                assert residual <= tol
-                assert residual == estimators._stopping_residual(psi, s, lam1, lam2, tol)
+            if result.converged:
+                assert result.residual <= tol
+                assert result.residual == estimators._stopping_residual(result.psi, s, lam1, lam2, tol)
             return result
 
         monkeypatch.setattr(estimators, "_solve_admm", checked)
@@ -386,9 +385,9 @@ class TestPenalizedQml:
             assert est.converged, (kind, rho, est.residual)
             assert est.residual <= SolverOptions().tol
             lam1, lam2 = (2.0 * rho / 120 * share for share in penalty.weights)
-            ref, _, converged, _, _ = estimators._solve_admm(s, lam1, lam2, 1e-12, 10_000)
-            assert converged
-            error = np.abs(est.psi - ref).max() / np.abs(ref).max()
+            ref = estimators._solve_admm(s, lam1, lam2, 1e-12, 10_000)
+            assert ref.converged
+            error = np.abs(est.psi - ref.psi).max() / np.abs(ref.psi).max()
             assert error <= 2e-6, (kind, rho, error)
 
     @pytest.mark.parametrize("kind,power", [("l1", 2), ("l2", 4)])
@@ -526,11 +525,11 @@ class TestRidgeFixedPoint:
     def test_matches_tight_admm(self, window, t, rho):
         s = window()
         lam2 = 2.0 * rho / t
-        ref, _, converged, _, _ = estimators._solve_admm(s, 0.0, lam2, 1e-11, 10_000)
-        assert converged
+        ref = estimators._solve_admm(s, 0.0, lam2, 1e-11, 10_000)
+        assert ref.converged
         est = penalized_qml(s, t, PenaltySpec("l2", rho))
         assert est.converged and est.iterations <= 10, est.iterations
-        assert np.abs(est.psi - ref).max() <= 1e-4 * np.abs(ref).max()
+        assert np.abs(est.psi - ref.psi).max() <= 1e-4 * np.abs(ref.psi).max()
 
     @pytest.mark.parametrize(
         "window,t,rho",
@@ -740,3 +739,18 @@ class TestTuneRho:
         failed = [r.getMessage() for r in caplog.records if "rho=0 failed" in r.getMessage()]
         assert len(failed) == 1, failed
         assert all(curve[0] == (0.0, -np.inf) and rho_star == 1.0 for rho_star, curve in tuned)
+
+    def test_unconverged_point_warns_once(self, caplog):
+        block = synth_returns(120, 17, np.random.default_rng(0))
+        capped = SolverOptions(max_iter=3)  # caps ADMM at rho 1 and 3; Ridge and the inverse pass
+        with caplog.at_level("WARNING", logger="precis.estimators"):
+            tuned = tune_rho(block, [("l1", 0.5), ("l2", 0.5), ("elastic", 0.5)], [0.0, 1.0, 3.0], capped)
+        messages = [r.getMessage() for r in caplog.records]
+        unconverged = [
+            f"({kind}, rho={rho:.4g}) not converged"
+            for (_, curve), kind in zip(tuned, ("l1", "l2", "elastic"))
+            for rho, score in curve
+            if score == -np.inf
+        ]
+        assert len(unconverged) == 4 and len(messages) == 4, messages
+        assert all(sum(point in m for m in messages) == 1 for point in unconverged), messages
