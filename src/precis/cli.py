@@ -231,7 +231,7 @@ def atomic_write(path: Path, text: str) -> None:
 def _jsonify(obj):
     """Dataclasses to dicts, tuples to lists, non-finite floats to null."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(dataclasses.asdict(obj))
+        return {f.name: _jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -139,7 +139,6 @@ def parse_panel(source, date_range=None) -> ReturnsPanel:
 
     dates: list[int] = []
     rows: list[list[float]] = []
-    mask_rows: list[list[bool]] = []
     for lineno, fields in enumerate(reader, start=2):
         if not fields or all(not f.strip() for f in fields):
             continue
@@ -152,31 +151,27 @@ def parse_panel(source, date_range=None) -> ReturnsPanel:
         if (lo is not None and stamp < lo) or (hi is not None and stamp > hi):
             continue
         values: list[float] = []
-        missing: list[bool] = []
         for col, cell in enumerate(fields[1:], start=2):
             try:
                 value = float(cell)
             except ValueError:
                 raise ParseError(f"unparseable numeric {cell!r} in column {col}", row=lineno) from None
-            if value in MISSING_SENTINELS:
-                values.append(math.nan)
-                missing.append(True)
-            else:
-                if not math.isfinite(value):
-                    raise ParseError(f"non-finite value {cell!r} in column {col}", row=lineno)
-                values.append(value)
-                missing.append(False)
+            if not math.isfinite(value):  # both sentinels are finite
+                raise ParseError(f"non-finite value {cell!r} in column {col}", row=lineno)
+            values.append(value)
         dates.append(stamp)
         rows.append(values)
-        mask_rows.append(missing)
 
     if not rows:
         raise EmptyPanelError("no rows within the requested date range")
+    returns = np.asarray(rows, dtype=float)
+    missing = np.isin(returns, MISSING_SENTINELS)  # exact equality
+    returns[missing] = np.nan
     return ReturnsPanel(
         dates=np.asarray(dates, dtype=np.int64),
         assets=assets,
-        returns=np.asarray(rows, dtype=float),
-        missing_mask=np.asarray(mask_rows, dtype=bool),
+        returns=returns,
+        missing_mask=missing,
     )
 
 
@@ -191,15 +186,14 @@ def forward_fill(panel: ReturnsPanel) -> ReturnsPanel:
     leading = panel.missing_mask[0]
     if leading.any():
         raise UnfillableLeadingGapError(panel.assets[int(np.argmax(leading))])
-    filled = panel.returns.copy()
-    for j in np.flatnonzero(panel.missing_mask.any(axis=0)):
-        col = filled[:, j]
-        for i in np.flatnonzero(panel.missing_mask[:, j]):
-            col[i] = col[i - 1]
+    n, p = panel.returns.shape
+    # each cell's source row: its own when present, else the last present row above it
+    source = np.where(panel.missing_mask, 0, np.arange(n)[:, None])
+    np.maximum.accumulate(source, axis=0, out=source)
     return ReturnsPanel(
         dates=panel.dates,
         assets=panel.assets,
-        returns=filled,
+        returns=panel.returns[source, np.arange(p)],
         missing_mask=panel.missing_mask,
     )
 

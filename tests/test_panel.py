@@ -237,6 +237,28 @@ class TestForwardFill:
         assert np.array_equal(once.returns, twice.returns)
         assert np.array_equal(once.missing_mask, twice.missing_mask)
 
+    @given(data=st.data(), n=st.integers(10, 30), p=st.integers(4, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_cell_by_cell_reference(self, data, n, p):
+        mask = np.zeros((n, p), dtype=bool)
+        gaps = st.tuples(st.integers(1, n - 1), st.integers(0, p - 1), st.integers(1, 6))
+        for start, col, length in data.draw(st.lists(gaps, max_size=10)):
+            mask[start : start + length, col] = True  # row 0 stays complete
+        returns = np.arange(n * p, dtype=float).reshape(n, p) + 0.25  # every value distinct
+        returns[mask] = np.nan
+        panel = ReturnsPanel(
+            dates=month_stamps(n), assets=[f"A{j}" for j in range(p)],
+            returns=returns, missing_mask=mask.copy(),
+        )
+        expected = returns.copy()
+        for i in range(1, n):
+            for j in range(p):
+                if mask[i, j]:
+                    expected[i, j] = expected[i - 1, j]
+        filled = forward_fill(panel)
+        assert np.array_equal(filled.returns, expected)
+        assert np.array_equal(filled.missing_mask, mask)
+
 
 class TestDescribe:
     def test_hand_computed_stats(self):
