@@ -202,12 +202,8 @@ def _window_weights(
 
     if spec.kind == "equal":
         wv = equal_weights(p)
-    elif spec.kind == "no_short":  # warm from the previous window, else cold from the clipped MVP
-        last = run.records[-1] if run.records else None
-        start = last.weights.weights if last and last.window_id == window_id - 1 else None
-        if start is None and np.isfinite(condition_number(decomp)):  # a singular S raises below
-            start = np.clip(mvp_weights(decomp).weights, 0.0, None)
-            start /= start.sum()
+    elif spec.kind == "no_short":  # warm from the latest weights, else no_short_mvp's cold start
+        start = run.records[-1].weights.weights if run.records else None
         wv = no_short_mvp(s, start=start, spectrum=decomp)[0]
     else:
         if spec.kind == "sample":
@@ -278,8 +274,8 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
     strategy records the tuning failure and the strategy is unavailable;
     the other strategies still run. Then one pass over the windows fits
     every strategy on each, sharing one sample covariance and one spectrum
-    per window. The no-short QP starts from the previous window's weights or
-    else the clipped MVP; its optimum does not depend on the start.
+    per window. The no-short QP starts from the strategy's latest weights, or
+    else from its own cold start; its optimum does not depend on the start.
     """
     to_tune = [spec for spec in config.strategies if spec.penalized and spec.rho is None]
     tuned = dict(zip(to_tune, tune_strategies(panel, config, to_tune)))  # checks the panel too

@@ -159,7 +159,7 @@ def sample_precision(decomp: EigenDecomposition) -> PrecisionEstimate:
     return PrecisionEstimate(spectrum=check_spd(decomp))
 
 
-def ledoit_wolf_intensity(window: np.ndarray, s: np.ndarray | None = None) -> float:
+def ledoit_wolf_intensity(window: np.ndarray, s: np.ndarray) -> float:
     """Analytic shrinkage intensity toward the scaled identity.
 
     Ratio of the averaged squared deviation of per-observation outer
@@ -168,14 +168,12 @@ def ledoit_wolf_intensity(window: np.ndarray, s: np.ndarray | None = None) -> fl
     covariance convention internally, as in the original derivation. The
     deviations sum in closed form: sum_t ||x_t x_t' - S_n||_F^2 =
     sum_t ||x_t||^4 - n ||S_n||_F^2, since sum_t x_t' S_n x_t = n ||S_n||_F^2.
-    s, the window's (n - 1)-denominator sample covariance, saves recomputing X'X.
+    s is sample_covariance(window), which needs n >= 2: S_n = s (n - 1) / n.
     """
     x = np.asarray(window, dtype=float)
     n, p = x.shape
-    if n < 2:
-        raise InsufficientDataError("need at least 2 observations")
     xc = x - x.mean(axis=0)
-    s_n = xc.T @ xc / n if s is None else s * ((n - 1) / n)
+    s_n = s * ((n - 1) / n)
     mu = float(np.trace(s_n)) / p
     d2 = float(np.sum((s_n - mu * np.eye(p)) ** 2))
     if d2 <= 0:

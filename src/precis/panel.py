@@ -65,6 +65,8 @@ class ReturnsPanel:
             raise InsufficientDataError(f"panel must be at least 2 x 2, got {n} x {p}")
         if len(self.dates) != n or len(self.assets) != p or self.missing_mask.shape != (n, p):
             raise ParseError("inconsistent panel dimensions")
+        if bad := sorted({a for a in self.assets if not a.strip() or self.assets.count(a) > 1}):
+            raise ParseError(f"asset names must be distinct and non-blank, got {bad}")
         dates = np.asarray([month_stamp(d) for d in self.dates], dtype=np.int64)
         if np.any(np.diff(dates // 100 * 12 + dates % 100) != 1):  # consecutive month indices
             raise ParseError("dates must be strictly increasing with monthly cadence")
@@ -163,7 +165,8 @@ def parse_panel(source, date_range=None) -> ReturnsPanel:
         rows.append(values)
 
     if not rows:
-        raise EmptyPanelError("no rows within the requested date range")
+        ranged = lo is not None or hi is not None
+        raise EmptyPanelError("no rows within the requested date range" if ranged else "no data rows")
     returns = np.asarray(rows, dtype=float)
     missing = np.isin(returns, MISSING_SENTINELS)  # exact equality
     returns[missing] = np.nan

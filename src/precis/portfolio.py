@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMatrixError, NonconvergenceError, SingularMatrixError
-from .linalg import EigenDecomposition, check_symmetric, condition_number
+from .linalg import EigenDecomposition, check_symmetric, condition_number, sym_eigen
 
 WEIGHT_SUM_TOL = 1e-10
 
@@ -68,7 +68,7 @@ def equal_weights(p: int) -> WeightVector:
     """1/p in every asset."""
     if p < 1:
         raise DegenerateMatrixError("cannot build equal weights over zero assets")
-    return WeightVector(weights=np.full(p, 1.0 / p))
+    return WeightVector(weights=np.full(p, 1 / p))
 
 
 def no_short_mvp(
@@ -77,25 +77,28 @@ def no_short_mvp(
 ) -> tuple[WeightVector, KktCertificate]:
     """Minimize w' S w over the simplex (unit sum, nonnegative weights).
 
-    Primal active set: start from equal weights (or from start, nonnegative
-    and unit-sum, its support free), repeatedly solve the equality-
-    constrained subproblem on the free assets (that restricted MVP), take a
+    Primal active set from start (nonnegative and unit-sum, its support
+    free), else from the MVP clipped at zero and renormalized: repeatedly
+    solve the equality-constrained subproblem on the free assets, take a
     ratio-test step when the candidate leaves the simplex, and release the
     lowest-index pinned asset whose multiplier is negative. Pivoting is
     deterministic (lowest index) so runs are reproducible. The optimum is
     unique (S is positive definite): start changes only the path to it.
 
-    A singular S (judged from spectrum, its EigenDecomposition, when given)
-    raises SingularMatrixError up front, matching the convention of
-    reporting no portfolio for windows with more assets than observations.
-    Returns the weights and their KKT certificate.
+    spectrum, S's EigenDecomposition, is computed when not given; a singular
+    one raises SingularMatrixError up front, as windows with more assets than
+    observations report no portfolio. Returns the weights and KKT certificate.
     """
     s = check_symmetric(s)
     p = s.shape[0]
-    if not np.isfinite(condition_number(s if spectrum is None else spectrum)):
+    spectrum = sym_eigen(s) if spectrum is None else spectrum
+    if not np.isfinite(condition_number(spectrum)):
         raise SingularMatrixError("covariance is singular; no-short MVP not constructed")
 
-    w = np.full(p, 1.0 / p) if start is None else np.array(start, dtype=float)
+    if start is None:
+        start = np.clip(mvp_weights(spectrum).weights, 0.0, None)
+        start /= start.sum()
+    w = np.array(start, dtype=float)
     free = w > 0.0
 
     def eqp(idx: np.ndarray) -> np.ndarray:

@@ -141,7 +141,7 @@ class TestRunRolling:
             for name, run in runs.items()
         }
         # over the oracle MVP's variance this draw gives S 4.85, LW 1.31, Glasso 1.63, Ridge 2.48, EN 1.85
-        for name in ("Glasso-MVP", "Ridge-MVP", "EN-MVP"):
+        for name in ("LW-MVP", "Glasso-MVP", "Ridge-MVP", "EN-MVP"):
             assert true_variance[name] < true_variance["S-MVP"], true_variance
 
     def test_tuned_rho_recorded_and_curve_exposed(self, rng):
@@ -279,7 +279,7 @@ def _rebuilt_record(spec, rows):
         if spec.kind == "sample":
             psi = sample_precision(sym_eigen(s)).psi
         else:  # Ledoit-Wolf, shrunk as a dense matrix
-            alpha = ledoit_wolf_intensity(rows)
+            alpha = ledoit_wolf_intensity(rows, s)
             psi = invert_spd((1 - alpha) * s + alpha * np.diag(s).mean() * np.eye(s.shape[0]))
         return mvp_weights(psi).weights, condition_number(psi)
     except PrecisError as exc:
@@ -333,25 +333,17 @@ class TestSharedWindowWork:
         assert all(run.n_success == 10 for run in runs.values())
         assert calls == {"sym_eigen": 10, "invert_spd": 0, "lazy_psi": 0}
 
-    def test_no_short_starts_cold_from_the_clipped_mvp(self, rng, monkeypatch):
-        calls = []
-
-        def spy(*args, _original=portfolio.no_short_mvp, **kwargs):
-            result = _original(*args, **kwargs)
-            calls.append((kwargs["start"], result[1].iterations))
-            return result
-
-        monkeypatch.setattr(backtest, "no_short_mvp", spy)
+    def test_no_short_starts_cold_from_the_clipped_mvp(self, rng):
         returns = synth_returns(123, 40, rng)
+        s = sample_covariance(returns[:120])
+        clipped = np.clip(mvp_weights(sym_eigen(s)).weights, 0.0, None)
+        cold, cold_cert = no_short_mvp(s)
+        assert cold_cert.iterations == no_short_mvp(s, start=clipped / clipped.sum())[1].iterations
+        assert cold_cert.iterations < no_short_mvp(s, start=np.full(40, 1 / 40))[1].iterations
         config = RollingConfig(strategies=(StrategySpec("JM-MVP", "no_short"),), window_length=120)
         run = run_rolling(make_panel(returns), config)["JM-MVP"]
         assert run.n_success == 3
-        s = sample_covariance(returns[:120])
-        clipped = np.clip(mvp_weights(sym_eigen(s)).weights, 0.0, None)
-        start, iterations = calls[0]
-        assert np.array_equal(start, clipped / clipped.sum())
-        assert iterations < no_short_mvp(s)[1].iterations  # fewer steps than from equal weights
-        assert np.abs(run.records[0].weights.weights - no_short_mvp(s)[0].weights).max() <= 1e-12
+        assert np.array_equal(run.records[0].weights.weights, cold.weights)
 
     def test_matches_strategies_rebuilt_one_at_a_time(self, rng):
         plain = synth_returns(45, 8, rng)

@@ -106,7 +106,7 @@ class TestLedoitWolf:
 
     def test_analytic_intensity_in_unit_interval(self, rng):
         window = synth_returns(60, 8, rng)
-        alpha = ledoit_wolf_intensity(window)
+        alpha = ledoit_wolf_intensity(window, sample_covariance(window))
         assert 0.0 < alpha < 1.0
 
     def test_singular_covariance_still_invertible(self, rng):
@@ -132,19 +132,14 @@ class TestLedoitWolf:
         b2 = sum(np.sum((np.outer(row, row) - s_n) ** 2) for row in xc) / n**2
         d2 = np.sum((s_n - np.trace(s_n) / p * np.eye(p)) ** 2)
         assert b2 < d2  # the intensity is not clipped, so the comparison has teeth
-        assert ledoit_wolf_intensity(x) == pytest.approx(b2 / d2, rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("n,p", [(60, 8), (120, 100), (20, 30), (36, 40)])
-    def test_intensity_from_the_window_covariance(self, rng, n, p):
-        x = synth_returns(n, p, rng)
-        alpha = ledoit_wolf_intensity(x)
-        assert ledoit_wolf_intensity(x, sample_covariance(x)) == pytest.approx(alpha, rel=1e-12)
+        alpha = ledoit_wolf_intensity(x, sample_covariance(x))
+        assert alpha == pytest.approx(b2 / d2, rel=1e-12, abs=0.0)
 
     def test_spectrum_input_matches_matrix_input(self, rng):
         # oracle: the shrunk covariance built and inverted as a dense matrix
         window = synth_returns(40, 6, rng)
         s = sample_covariance(window)
-        alpha = ledoit_wolf_intensity(window)
+        alpha = ledoit_wolf_intensity(window, s)
         from_spectrum = ledoit_wolf(sym_eigen(s), alpha)
         shrunk = (1 - alpha) * s + alpha * np.diag(s).mean() * np.eye(6)
         from_matrix = np.linalg.inv(shrunk)
@@ -331,12 +326,20 @@ class TestPenalizedQml:
                 assert objective(est.psi + eps * np.abs(est.psi).max() * e) <= best
 
     def test_l2_offdiagonal_energy_monotone_in_rho(self, rng):
-        s = sample_covariance(synth_returns(120, 10, rng, rho_common=0.5))
-        energies = []
-        for rho in (0.1, 0.5, 1.0, 2.0, 3.0):
-            est = penalized_qml(s, 120, PenaltySpec("l2", rho))
-            energies.append(float((offdiag(est.psi) ** 2).sum()))
-        assert all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
+        cases = [
+            (sample_covariance(synth_returns(120, 10, rng, rho_common=0.5)), (0.1, 0.5, 1.0, 2.0, 3.0)),
+            # criterion 8's ladder on a synthetic block shaped like 17ind.csv's first window
+            (
+                sample_covariance(synth_returns(510, 17, np.random.default_rng(0))[:120]),
+                [round(0.1 * k, 1) for k in range(1, 31)],
+            ),
+        ]
+        for s, ladder in cases:
+            energies = []
+            for rho in ladder:
+                est = penalized_qml(s, 120, PenaltySpec("l2", rho))
+                energies.append(float((offdiag(est.psi) ** 2).sum()))
+            assert all(a >= b - 1e-12 for a, b in zip(energies, energies[1:])), energies
 
     def test_l1_zero_count_monotone_in_rho(self, rng):
         s = sample_covariance(synth_returns(120, 10, rng, rho_common=0.5))

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,24 @@ class TestParse:
     def test_empty_range_rejected(self):
         with pytest.raises(EmptyPanelError):
             parse_panel(BASIC, date_range=(200001, 200012))
+
+    @pytest.mark.parametrize(
+        "date_range,message",
+        [(None, "^no data rows$"), ((None, 197312), "^no rows within the requested date range$")],
+    )
+    def test_header_only_file_has_no_data_rows(self, date_range, message):
+        with pytest.raises(EmptyPanelError, match=message):
+            parse_panel("date,A,B\n", date_range=date_range)
+
+    @pytest.mark.parametrize("header,bad", [("date,A,A", "['A']"), ("date, ,B", "['']")])
+    def test_repeated_or_blank_asset_names_rejected(self, header, bad):
+        with pytest.raises(ParseError, match=re.escape(bad)):
+            parse_panel(header + "\n197307,1.0,2.0\n197308,0.5,1.5\n")
+        with pytest.raises(ParseError, match=re.escape(bad)):
+            ReturnsPanel(
+                dates=[197307, 197308], assets=[a.strip() for a in header.split(",")[1:]],
+                returns=np.ones((2, 2)), missing_mask=np.zeros((2, 2), dtype=bool),
+            )
 
     def test_wrong_field_count_names_row(self):
         text = "date,A,B\n197307,1.0,2.0\n197308,1.0\n"
