@@ -13,37 +13,22 @@ from pathlib import Path
 from precis.cli import main  # before numpy, so that precis sets its one-BLAS-thread default
 
 import numpy as np
+from synthetic import panel_csv, synth_returns
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
 
 
-def month_stamps(n, start=199001):
-    year, month = divmod(start, 100)
-    out = []
-    for _ in range(n):
-        out.append(year * 100 + month)
-        month += 1
-        if month > 12:
-            year, month = year + 1, 1
-    return out
-
-
-def synth_csv(n, p, seed, rho_common=0.35, scale=4.0, drift=0.6):
-    rng = np.random.default_rng(seed)
-    common = rng.normal(size=(n, 1))
-    idio = rng.normal(size=(n, p))
-    loadings = 0.7 + 0.6 * rng.random(p)
-    data = scale * (np.sqrt(rho_common) * common * loadings + np.sqrt(1 - rho_common) * idio)
-    data += drift
-    lines = ["date," + ",".join(f"A{i:02d}" for i in range(p))]
-    for stamp, row in zip(month_stamps(n), data):
-        lines.append(f"{stamp}," + ",".join(f"{v:.4f}" for v in row))
-    return "\n".join(lines) + "\n"
+def demo_panels():
+    """The demo's two panels as CSV text, keyed by file name."""
+    return {
+        name: panel_csv(synth_returns(n, p, np.random.default_rng(seed), rho_common=0.35), decimals=4)
+        for name, n, p, seed in (("small.csv", 200, 8, 1), ("crowded.csv", 70, 40, 2))
+    }
 
 
 def run():
-    (DEMO_DIR / "small.csv").write_text(synth_csv(200, 8, seed=1))
-    (DEMO_DIR / "crowded.csv").write_text(synth_csv(70, 40, seed=2))
+    for name, text in demo_panels().items():
+        (DEMO_DIR / name).write_text(text)
     config_path = DEMO_DIR / "demo.yaml"
 
     for command in ("describe", "tune", "backtest"):

@@ -1,4 +1,5 @@
-"""Shared fixtures and synthetic-data builders for the test suite."""
+"""Shared fixtures and builders for the test suite; the synthetic draws live in
+`scripts/synthetic.py`."""
 from __future__ import annotations
 
 import os
@@ -8,6 +9,8 @@ from precis import ReturnsPanel, forward_fill, parse_panel  # before numpy: one 
 
 import numpy as np
 import pytest
+
+from synthetic import month_stamps, panel_csv, synth_returns, synth_truth  # re-exported to the tests
 
 # Real Ken French CSVs are looked up here (pre-trimmed: header line, YYYYMM
 # date column, one numeric column per asset). Tests that need them skip when
@@ -55,17 +58,6 @@ def rand_psd_singular(p: int, rank: int, rng: np.random.Generator) -> np.ndarray
     return x.T @ x / rank
 
 
-def month_stamps(n: int, start: int = 199001) -> np.ndarray:
-    year, month = divmod(start, 100)
-    out = []
-    for _ in range(n):
-        out.append(year * 100 + month)
-        month += 1
-        if month > 12:
-            year, month = year + 1, 1
-    return np.asarray(out, dtype=np.int64)
-
-
 def make_panel(returns: np.ndarray, start: int = 199001, assets=None) -> ReturnsPanel:
     returns = np.asarray(returns, dtype=float)
     n, p = returns.shape
@@ -75,33 +67,6 @@ def make_panel(returns: np.ndarray, start: int = 199001, assets=None) -> Returns
         returns=returns,
         missing_mask=np.zeros((n, p), dtype=bool),
     )
-
-
-def synth_returns(
-    n: int,
-    p: int,
-    rng: np.random.Generator,
-    rho_common: float = 0.3,
-    scale: float = 4.0,
-    drift: float = 0.6,
-) -> np.ndarray:
-    """One-factor monthly percent returns, loosely like industry portfolios."""
-    common = rng.normal(size=(n, 1))
-    idio = rng.normal(size=(n, p))
-    loadings = 0.7 + 0.6 * rng.random(p)
-    x = np.sqrt(rho_common) * common * loadings + np.sqrt(1.0 - rho_common) * idio
-    return scale * x + drift
-
-
-def panel_csv(returns: np.ndarray, start: int = 199001, assets=None) -> str:
-    """Render a return matrix as the CSV layout the parser expects."""
-    returns = np.asarray(returns, dtype=float)
-    n, p = returns.shape
-    names = assets or [f"A{i:02d}" for i in range(p)]
-    lines = ["date," + ",".join(names)]
-    for stamp, row in zip(month_stamps(n, start), returns):
-        lines.append(f"{stamp}," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

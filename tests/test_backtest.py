@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import make_panel, synth_returns
+from conftest import make_panel, synth_returns, synth_truth
 from precis import (
     RollingConfig,
     StrategySpec,
@@ -119,14 +119,24 @@ class TestRunRolling:
         expected = sigma2_mvp * (t_len - 2) / (t_len - p - 2)
         assert abs(pooled.var(ddof=1) - expected) <= 0.15 * expected
 
-    def test_penalized_mvps_beat_sample_mvp_on_the_true_covariance(self):
+    @pytest.mark.parametrize(
+        "unequal_idio, beaters",
+        [
+            (False, ("LW-MVP", "Glasso-MVP", "Ridge-MVP", "EN-MVP")),
+            (True, ("Glasso-MVP", "Ridge-MVP", "EN-MVP")),
+        ],
+        ids=["equal-idio", "unequal-idio"],
+    )
+    def test_penalized_mvps_beat_sample_mvp_on_the_true_covariance(self, unequal_idio, beaters):
         # the paper's claim at p/T = 0.8: a one-factor truth, 8 windows of
-        # T = 50 at p = 40, every penalized MVP at the fixed code rho 3
+        # T = 50 at p = 40, every penalized MVP at the fixed code rho 3. With
+        # equal idiosyncratic variances the truth is a factor plus a scaled
+        # identity, the structure Ledoit-Wolf shrinks toward; the second truth
+        # draws each asset's idiosyncratic scale from exp U(ln 0.5, ln 2)
         p, t_len, windows = 40, 50, 8
         gen = np.random.default_rng(0)
-        loadings = 0.7 + 0.6 * gen.random(p)
-        sigma = 16.0 * (0.3 * np.outer(loadings, loadings) + 0.7 * np.eye(p))
-        returns = gen.normal(size=(t_len + windows, p)) @ np.linalg.cholesky(sigma).T
+        idio_scale = np.exp(gen.uniform(np.log(0.5), np.log(2.0), p)) if unequal_idio else None
+        returns, sigma = synth_truth(t_len + windows, p, gen, idio_scale=idio_scale)
         strategies = (
             StrategySpec("S-MVP", "sample"),
             StrategySpec("LW-MVP", "ledoit_wolf"),
@@ -140,8 +150,12 @@ class TestRunRolling:
             name: np.mean([rec.weights.weights @ sigma @ rec.weights.weights for rec in run.records])
             for name, run in runs.items()
         }
-        # over the oracle MVP's variance this draw gives S 4.85, LW 1.31, Glasso 1.63, Ridge 2.48, EN 1.85
-        for name in ("LW-MVP", "Glasso-MVP", "Ridge-MVP", "EN-MVP"):
+        # over the oracle MVP's variance, seed 0 gives S 4.36, LW 1.46, Glasso 2.02,
+        # Ridge 2.54, EN 2.19 (equal) and S 4.66, LW 1.58, Glasso 1.94, Ridge 2.85,
+        # EN 2.22 (unequal). Over seeds 0-5 the tightest margin over S is x1.34
+        # (equal, seed 1, Ridge) and x1.47 (unequal, seed 1, Ridge); LW, asserted
+        # on the equal truth only, has x2.45 (seed 1)
+        for name in beaters:
             assert true_variance[name] < true_variance["S-MVP"], true_variance
 
     def test_tuned_rho_recorded_and_curve_exposed(self, rng):
