@@ -50,7 +50,7 @@ from .linalg import (
     sample_covariance,
     sym_eigen,
 )
-from .panel import DescriptiveStats, ReturnsPanel, describe, forward_fill, parse_panel
+from .panel import DescriptiveStats, ReturnsPanel, describe, parse_panel
 from .portfolio import (
     KktCertificate,
     WeightVector,

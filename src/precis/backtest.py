@@ -238,14 +238,11 @@ def tune_strategies(
 
     An error from the grid search fails every spec with (None, None,
     "ErrorType: message"); a spec with no converged grid point keeps its
-    curve with a TuningError failure. The panel must be sanitized and
-    longer than the window, with or without specs, so `precis tune` and
-    `precis backtest` accept the same panels and agree on what counts as a
-    failed strategy.
+    curve with a TuningError failure. The panel must be longer than the
+    window, with or without specs, so `precis tune` and `precis backtest`
+    accept the same panels and agree on what counts as a failed strategy.
     """
     t_len = config.window_length
-    if not panel.is_sanitized:
-        raise InsufficientDataError("panel has missing cells; forward_fill first")
     if panel.n <= t_len:
         raise InsufficientDataError(f"panel has {panel.n} rows; need more than window length {t_len}")
     if not specs:

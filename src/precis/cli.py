@@ -40,7 +40,7 @@ from .backtest import (
 from .errors import ConfigError, MulticollinearityError, ParseError, PrecisError, failure
 from .estimators import SolverOptions
 from .hedge import ols_hedge
-from .panel import DESCRIBE_COLUMNS, ReturnsPanel, describe, forward_fill, month_stamp, parse_panel
+from .panel import DESCRIBE_COLUMNS, ReturnsPanel, describe, month_stamp, parse_panel
 
 TOP_LEVEL_KEYS = ("window_length", "out", "grid", "solver", "datasets", "strategies")
 DATASET_KEYS = ("name", "path", "date_range")
@@ -266,12 +266,6 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     atomic_write(path, text.getvalue())
 
 
-def _load_panel(ds: DatasetConfig) -> ReturnsPanel:
-    with open(ds.path, "rb") as fh:
-        panel = parse_panel(fh, date_range=ds.date_range)
-    return forward_fill(panel)
-
-
 def _write_curve(out_dir: Path, dataset: str, strategy: str, curve) -> None:
     write_csv(
         out_dir / "curves" / f"{dataset}_{strategy}.csv",
@@ -293,7 +287,9 @@ def _each_dataset(config: RunConfig, compute) -> list:
     results = []
     for ds in config.datasets:
         try:
-            results.append((ds, compute(ds, _load_panel(ds))))
+            with open(ds.path, "rb") as fh:
+                panel = parse_panel(fh, date_range=ds.date_range)
+            results.append((ds, compute(ds, panel)))
         except PrecisError as exc:
             raise PrecisError(f"dataset {ds.name!r}: {failure(exc)}") from exc
     return results
@@ -329,7 +325,9 @@ def cmd_tune(config: RunConfig) -> int:
             summary[ds.name][spec.name] = rho_star
             if curve is not None:
                 _write_curve(config.out_dir, ds.name, spec.name, curve)
-            endpoint = " (grid endpoint)" if rho_star in (grid[0], grid[-1]) else ""
+            # no rho lies below 0, so a grid that starts at 0 has no lower endpoint to flag
+            at_end = rho_star == grid[-1] or rho_star == grid[0] > 0
+            endpoint = " (grid endpoint)" if at_end else ""
             status = f"rho*={rho_star}{endpoint}" if error is None else f"no rho* ({error})"
             print(f"{ds.name} {spec.name}: {status}")
     atomic_write(config.out_dir / "tune.json", dump_json(summary))

@@ -1,10 +1,11 @@
-"""Monthly return panels: CSV parsing, missing-value handling, descriptive stats.
+"""Monthly return panels: CSV parsing with forward fill, descriptive stats.
 
 Input files are pre-trimmed Ken-French-style CSVs: a header line, a first
 column of YYYYMM stamps, and one numeric column per asset. Returns are kept
 in percent units throughout. Missing observations are marked in the source
 files by the sentinels -99.99 and -999 and are matched by exact equality on
-the parsed value, never by a magnitude threshold.
+the parsed value, never by a magnitude threshold. Parsing forward-fills them,
+so every panel holds finite returns only.
 """
 from __future__ import annotations
 
@@ -48,10 +49,10 @@ def month_stamp(value, row: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class ReturnsPanel:
-    """Dated n x p block of monthly percent returns.
+    """Dated n x p block of monthly percent returns, every one finite.
 
-    missing_mask marks cells that were missing in the source file; after
-    forward_fill the mask is preserved for audit while the values are filled.
+    missing_mask marks the cells that were missing in the source file and
+    hold a forward-filled value; it is kept for audit.
     """
 
     dates: np.ndarray          # int64 month_stamp months, strictly increasing monthly
@@ -71,8 +72,8 @@ class ReturnsPanel:
         if np.any(np.diff(dates // 100 * 12 + dates % 100) != 1):  # consecutive month indices
             raise ParseError("dates must be strictly increasing with monthly cadence")
         object.__setattr__(self, "dates", dates)
-        if not np.all(np.isfinite(self.returns[~self.missing_mask])):
-            raise ParseError("non-missing cells must be finite")
+        if not np.all(np.isfinite(self.returns)):
+            raise ParseError("returns must be finite")
 
     @property
     def n(self) -> int:
@@ -85,10 +86,6 @@ class ReturnsPanel:
     @property
     def n_missing(self) -> int:
         return int(self.missing_mask.sum())
-
-    @property
-    def is_sanitized(self) -> bool:
-        return bool(np.all(np.isfinite(self.returns)))
 
 
 @dataclass(frozen=True)
@@ -109,9 +106,12 @@ def parse_panel(source, date_range=None) -> ReturnsPanel:
     source may be a byte stream, text stream, bytes, or str content. The
     first column must hold YYYYMM integers; every other column is a numeric
     asset return. Cells equal to -99.99 or -999 (exact match after parse)
-    are flagged missing and stored as NaN. date_range, when given, is an
-    inclusive (start, end) pair of month_stamp months, either of which may
-    be None; rows outside it are dropped.
+    are flagged in missing_mask and take the last preceding value in their
+    column; one in the first kept row has no such value and raises
+    UnfillableLeadingGapError, after any header or date error. date_range,
+    when given, is an inclusive (start, end) pair of month_stamp months,
+    either of which may be None; rows outside it are dropped before the
+    fill, so they are never its source.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -169,47 +169,29 @@ def parse_panel(source, date_range=None) -> ReturnsPanel:
         raise EmptyPanelError("no rows within the requested date range" if ranged else "no data rows")
     returns = np.asarray(rows, dtype=float)
     missing = np.isin(returns, MISSING_SENTINELS)  # exact equality
-    returns[missing] = np.nan
-    return ReturnsPanel(
+    # each cell's source row: its own when present, else the last present row
+    # above it. A leading gap has none and keeps its sentinel, so the panel's
+    # header and date checks still run before the gap raises.
+    source = np.where(missing, 0, np.arange(len(rows))[:, None])
+    np.maximum.accumulate(source, axis=0, out=source)
+    panel = ReturnsPanel(
         dates=np.asarray(dates, dtype=np.int64),
         assets=assets,
-        returns=returns,
+        returns=returns[source, np.arange(len(assets))],
         missing_mask=missing,
     )
-
-
-def forward_fill(panel: ReturnsPanel) -> ReturnsPanel:
-    """Replace each missing cell with the last preceding value in its column.
-
-    The original missing mask is preserved for audit. A missing value with
-    no predecessor cannot be filled and raises, naming the column.
-    """
-    if not panel.missing_mask.any():
-        return panel
-    leading = panel.missing_mask[0]
-    if leading.any():
-        raise UnfillableLeadingGapError(panel.assets[int(np.argmax(leading))])
-    n, p = panel.returns.shape
-    # each cell's source row: its own when present, else the last present row above it
-    source = np.where(panel.missing_mask, 0, np.arange(n)[:, None])
-    np.maximum.accumulate(source, axis=0, out=source)
-    return ReturnsPanel(
-        dates=panel.dates,
-        assets=panel.assets,
-        returns=panel.returns[source, np.arange(p)],
-        missing_mask=panel.missing_mask,
-    )
+    if missing[0].any():
+        raise UnfillableLeadingGapError(assets[int(np.argmax(missing[0]))])
+    return panel
 
 
 def describe(panel: ReturnsPanel) -> DescriptiveStats:
-    """Full-sample descriptive statistics of a sanitized panel.
+    """Full-sample descriptive statistics of a panel.
 
     Correlations come from the n-1 sample covariance; the diagonal is
     excluded from the max / mean-absolute summaries. Per-asset Sharpe is
     mean over standard deviation with the risk-free rate taken as zero.
     """
-    if not panel.is_sanitized:
-        raise InsufficientDataError("panel still has missing cells; forward_fill first")
     cov = sample_covariance(panel.returns)
     variances = np.diag(cov)
     if np.any(variances <= 0):

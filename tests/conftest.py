@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from precis import ReturnsPanel, forward_fill, parse_panel  # before numpy: one BLAS thread
+from precis import ReturnsPanel, parse_panel  # before numpy: one BLAS thread
 
 import numpy as np
 import pytest
@@ -43,7 +43,7 @@ def kf_panel(name: str) -> ReturnsPanel:
             f"(set {DATA_ENV} to a directory of pre-trimmed CSVs)"
         )
     with open(path, "rb") as fh:
-        return forward_fill(parse_panel(fh, date_range=KF_RANGE))
+        return parse_panel(fh, date_range=KF_RANGE)
 
 
 def rand_spd(p: int, rng: np.random.Generator, cond: float = 10.0) -> np.ndarray:

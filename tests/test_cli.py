@@ -11,7 +11,7 @@ import yaml
 
 from conftest import panel_csv, synth_returns
 from precis import parse_panel
-from precis.cli import load_config, main
+from precis.cli import REPORT_TABLES, load_config, main
 from precis.errors import ConfigError, ParseError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -138,6 +138,31 @@ def test_tune_stdout_flags_a_grid_endpoint(tmp_path, capsys):
     ]
     summary = json.loads((tmp_path / "out" / "tune.json").read_text())
     assert summary == {"toy": {"Glasso-MVP": 60.0, "Ridge-MVP": 90.0}}  # the flag is stdout only
+
+
+def test_tune_stdout_does_not_flag_a_zero_grid_start(tmp_path, capsys):
+    # no rho lies below 0, so rho* = 0 on a grid from 0 is no grid endpoint
+    (tmp_path / "toy.csv").write_text(panel_csv(np.random.default_rng(1).normal(size=(121, 3))))
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        yaml.safe_dump(
+            {
+                "window_length": 120,
+                "out": "out",
+                "grid": {"start": 0.0, "stop": 60.0, "step": 30.0},
+                "datasets": [{"name": "toy", "path": "toy.csv"}],
+                "strategies": [
+                    {"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"},
+                    {"name": "Ridge-MVP", "kind": "qml_l2", "rho": "tune"},
+                ],
+            }
+        )
+    )
+    assert main(["tune", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "toy Glasso-MVP: rho*=0.0",
+        "toy Ridge-MVP: rho*=0.0",
+    ]
 
 
 def test_tune_total_failure_is_content_not_crash(workspace):
@@ -321,6 +346,47 @@ def test_non_utf8_panel_is_a_parse_error(workspace, capsys):
     assert main(["describe", "--config", str(config)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: dataset 'wide': ParseError: row 3: not UTF-8 text"], err
+    assert not (root / "out").exists()
+
+
+def test_sentinels_are_filled_before_any_command_sees_the_panel(workspace, capsys):
+    # interior sentinels become their column's last value: backtest output
+    # is byte for byte that of the panel filled by hand
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
+    config.write_text(yaml.safe_dump(raw))
+    returns = parse_panel((root / "toy.csv").read_text()).returns
+    gapped, filled = returns.copy(), returns.copy()
+    for t, j, sentinel in ((3, 0, -99.99), (4, 0, -999.0), (30, 2, -99.99)):
+        gapped[t, j] = sentinel
+        filled[t, j] = filled[t - 1, j]
+    outputs = {}
+    for name, panel in (("gapped", gapped), ("filled", filled)):
+        (root / "toy.csv").write_text(panel_csv(panel))
+        for command in ("describe", "backtest"):
+            assert main([command, "--config", str(config), "--out", str(root / name)]) == 0
+        files = ["report.json", *(f"tables/{stem}.csv" for stem, _ in REPORT_TABLES)]
+        outputs[name] = {f: (root / name / f).read_bytes() for f in files}
+    assert "missing=3" in capsys.readouterr().out
+    assert outputs["gapped"] == outputs["filled"]
+
+
+def test_leading_sentinel_fails_the_dataset(workspace, capsys):
+    root, config = workspace
+    lines = (root / "wide.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "-99.99"
+    lines[1] = ",".join(cells)
+    (root / "wide.csv").write_text("\n".join(lines) + "\n")
+    for command in ("describe", "tune", "backtest", "diagnose"):
+        assert main([command, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: dataset 'wide': UnfillableLeadingGapError: column 'A01' has a leading "
+            "missing value; forward fill is undefined"
+        ], captured.err
+        assert captured.out == ""
     assert not (root / "out").exists()
 
 
@@ -579,8 +645,11 @@ def test_import_defaults_to_one_blas_thread(preset, expected):
 def test_commands_run_on_numpy_alone(tmp_path, rng):
     # precis depends on numpy and PyYAML only, and numpy.ma would come from
     # np.percentile, which calls np.unique: neither it nor scipy may load here,
-    # not even where diagnose names a p > n panel's dependent columns.
-    (tmp_path / "toy.csv").write_text(panel_csv(synth_returns(40, 4, rng)))
+    # not even where diagnose names a p > n panel's dependent columns, or
+    # where parsing fills a missing cell.
+    toy = synth_returns(40, 4, rng)
+    toy[5, 1] = -99.99
+    (tmp_path / "toy.csv").write_text(panel_csv(toy))
     (tmp_path / "short.csv").write_text(panel_csv(synth_returns(10, 12, rng)))
     config = {
         "window_length": 24,

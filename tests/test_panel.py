@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_panel, month_stamps, synth_returns
-from precis import ReturnsPanel, describe, forward_fill, parse_panel
+from conftest import make_panel, month_stamps, panel_csv, synth_returns
+from precis import ReturnsPanel, describe, parse_panel
 from precis.errors import (
     DegenerateColumnError,
     EmptyPanelError,
@@ -44,7 +44,7 @@ class TestParse:
         panel = parse_panel(text)
         assert panel.missing_mask.sum() == 1
         assert panel.missing_mask[1, 0]
-        assert np.isnan(panel.returns[1, 0])
+        assert panel.returns[1, 0] == 1.0  # filled from the month before
 
     def test_sentinel_is_exact_not_threshold(self):
         # a legitimate extreme return near the sentinel must survive
@@ -55,6 +55,7 @@ class TestParse:
         assert panel.missing_mask.sum() == 1
         assert panel.missing_mask[1, 0]
         assert panel.returns[0, 0] == -99.98
+        assert panel.returns[1, 0] == -99.98  # filled from the month before
         assert panel.returns[2, 0] == -100.0
 
     def test_date_range_inclusive(self):
@@ -110,6 +111,27 @@ class TestParse:
                 parse_panel(f"date,A,B\n{cell},1.0,2.0\n")
             assert err.value.row == 2
 
+    def test_first_in_range_sentinel_is_a_leading_gap(self):
+        # the fill source must lie inside date_range: a value in a dropped
+        # earlier row does not fill the first kept row
+        text = csv_text([(197307, 1.0, 2.0, 3.0), (197308, 1.0, -99.99, 3.0), (197309, 1.0, 2.0, 3.0)])
+        assert parse_panel(text).returns[1, 1] == 2.0
+        with pytest.raises(UnfillableLeadingGapError) as err:
+            parse_panel(text, date_range=("1973-08", None))
+        assert err.value.column == "Mines"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("date,A,A\n197307,-999,2.0\n197308,0.5,1.5\n", "distinct"),
+            ("date,A,B\n197307,-999,2.0\n197309,0.5,1.5\n", "monthly cadence"),
+        ],
+        ids=["header", "cadence"],
+    )
+    def test_parse_error_precedes_a_leading_gap(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_panel(text)
+
     def test_gap_in_months_rejected(self):
         text = csv_text([(197307, 1, 1, 1), (197309, 1, 1, 1), (197310, 1, 1, 1)])
         with pytest.raises(ParseError):
@@ -131,26 +153,42 @@ class TestParse:
                 panel(dates)
         assert list(panel([199012, 199101]).dates) == [199012, 199101]
 
+    def test_non_finite_return_rejected(self):
+        # a panel holds filled values only, even where missing_mask is set
+        for value in (np.nan, np.inf):
+            returns = np.array([[1.0, 2.0], [value, 2.0]])
+            with pytest.raises(ParseError, match="finite"):
+                ReturnsPanel(
+                    dates=[197307, 197308], assets=["A", "B"],
+                    returns=returns, missing_mask=~np.isfinite(returns),
+                )
 
-def cell_by_cell(rows, width):
+
+def cell_by_cell(rows, assets):
     """The reference parse: each cell through float() in file order, sentinels
-    by exact equality; (values, mask) or the first bad cell's error message."""
+    by exact equality, each filled from the cell above it; (values, mask), or
+    the error of the first bad cell or else of a first-row sentinel."""
     values, mask = [], []
     for lineno, row in enumerate(rows, start=2):
         for col, cell in enumerate(row, start=2):
             try:
                 value = float(cell)
             except ValueError:
-                return f"row {lineno}: unparseable numeric {cell!r} in column {col}"
+                return ParseError(f"unparseable numeric {cell!r} in column {col}", row=lineno)
             if value in (-99.99, -999.0):
                 values.append(np.nan)
                 mask.append(True)
             elif not np.isfinite(value):
-                return f"row {lineno}: non-finite value {cell!r} in column {col}"
+                return ParseError(f"non-finite value {cell!r} in column {col}", row=lineno)
             else:
                 values.append(value)
                 mask.append(False)
-    return np.reshape(values, (-1, width)), np.reshape(mask, (-1, width))
+    values, mask = np.reshape(values, (-1, len(assets))), np.reshape(mask, (-1, len(assets)))
+    if mask[0].any():
+        return UnfillableLeadingGapError(assets[int(np.argmax(mask[0]))])
+    for i in range(1, len(values)):
+        values[i, mask[i]] = values[i - 1, mask[i]]
+    return values, mask
 
 
 CELLS = ("1.5", "-2", " 3.25 ", "1_0", "-99.99", "-999", "-999.0", "-9.999e1", "-99.990",
@@ -163,14 +201,14 @@ class TestParseParity:
     def test_matches_cell_by_cell_parse(self, cells):
         rows = [cells[k : k + 3] for k in range(0, 12, 3)]
         text = csv_text([(stamp, *row) for stamp, row in zip(month_stamps(4), rows)])
-        expected = cell_by_cell(rows, 3)
-        if isinstance(expected, str):
-            with pytest.raises(ParseError) as err:
+        expected = cell_by_cell(rows, ["Food", "Mines", "Oil"])
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as err:
                 parse_panel(text)
-            assert str(err.value) == expected
+            assert str(err.value) == str(expected)
         else:
             panel = parse_panel(text)
-            assert np.array_equal(panel.returns, expected[0], equal_nan=True)
+            assert np.array_equal(panel.returns, expected[0])
             assert np.array_equal(panel.missing_mask, expected[1])
 
     @pytest.mark.parametrize(
@@ -199,11 +237,16 @@ class TestParseParity:
 
     def test_sentinels_match_by_exact_value(self):
         text = csv_text(
-            [(197307, "-99.990", "-9.999e1", "-999.0"), (197308, "-99.9900001", "-998.9999999", "-99.98")]
+            [
+                (197307, 1.0, 2.0, 3.0),
+                (197308, "-99.990", "-9.999e1", "-999.0"),
+                (197309, "-99.9900001", "-998.9999999", "-99.98"),
+            ]
         )
         panel = parse_panel(text)
-        assert panel.missing_mask.tolist() == [[True, True, True], [False, False, False]]
-        assert panel.returns[1].tolist() == [-99.9900001, -998.9999999, -99.98]
+        assert panel.missing_mask.tolist() == [[False] * 3, [True] * 3, [False] * 3]
+        assert panel.returns[1].tolist() == [1.0, 2.0, 3.0]
+        assert panel.returns[2].tolist() == [-99.9900001, -998.9999999, -99.98]
 
 
 class TestForwardFill:
@@ -211,50 +254,27 @@ class TestForwardFill:
         text = csv_text(
             [(197307, 5.0, 1.0, 1.0), (197308, -99.99, 1.0, 1.0), (197309, 2.0, 1.0, 1.0)]
         )
-        panel = forward_fill(parse_panel(text))
+        panel = parse_panel(text)
         assert panel.returns[1, 0] == 5.0
         assert panel.returns[2, 0] == 2.0
         assert panel.missing_mask[1, 0]  # audit mask preserved
-        assert panel.is_sanitized
-
-    def test_identity_on_complete_panel(self):
-        panel = parse_panel(BASIC)
-        assert forward_fill(panel) is panel
+        assert np.isfinite(panel.returns).all()
 
     def test_leading_gap_names_column(self):
         text = csv_text(
             [(197307, 1.0, -999, 1.0), (197308, 1.0, 1.0, 1.0), (197309, 1.0, 1.0, 1.0)]
         )
         with pytest.raises(UnfillableLeadingGapError) as err:
-            forward_fill(parse_panel(text))
+            parse_panel(text)
         assert err.value.column == "Mines"
 
     def test_consecutive_gaps_propagate(self):
         text = csv_text(
             [(197307, 7.0, 1.0, 1.0), (197308, -999, 1.0, 1.0), (197309, -99.99, 1.0, 1.0)]
         )
-        panel = forward_fill(parse_panel(text))
+        panel = parse_panel(text)
         assert panel.returns[1, 0] == 7.0
         assert panel.returns[2, 0] == 7.0
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_idempotent(self, seed):
-        gen = np.random.default_rng(seed)
-        returns = np.round(gen.normal(size=(8, 3)) * 4, 2)
-        mask = gen.random(size=(8, 3)) < 0.3
-        mask[0] = False
-        rows = []
-        for t in range(8):
-            row = [int(month_stamps(8)[t])]
-            for j in range(3):
-                row.append(-99.99 if mask[t, j] else returns[t, j])
-            rows.append(tuple(row))
-        panel = parse_panel(csv_text(rows, header="date,A,B,C"))
-        once = forward_fill(panel)
-        twice = forward_fill(once)
-        assert np.array_equal(once.returns, twice.returns)
-        assert np.array_equal(once.missing_mask, twice.missing_mask)
 
     @given(data=st.data(), n=st.integers(10, 30), p=st.integers(4, 6))
     @settings(max_examples=50, deadline=None)
@@ -264,17 +284,12 @@ class TestForwardFill:
         for start, col, length in data.draw(st.lists(gaps, max_size=10)):
             mask[start : start + length, col] = True  # row 0 stays complete
         returns = np.arange(n * p, dtype=float).reshape(n, p) + 0.25  # every value distinct
-        returns[mask] = np.nan
-        panel = ReturnsPanel(
-            dates=month_stamps(n), assets=[f"A{j}" for j in range(p)],
-            returns=returns, missing_mask=mask.copy(),
-        )
         expected = returns.copy()
         for i in range(1, n):
             for j in range(p):
                 if mask[i, j]:
                     expected[i, j] = expected[i - 1, j]
-        filled = forward_fill(panel)
+        filled = parse_panel(panel_csv(np.where(mask, -99.99, returns)))
         assert np.array_equal(filled.returns, expected)
         assert np.array_equal(filled.missing_mask, mask)
 
@@ -304,14 +319,6 @@ class TestDescribe:
         returns = np.column_stack([np.ones(5), np.arange(5.0)])
         with pytest.raises(DegenerateColumnError):
             describe(make_panel(returns))
-
-    def test_unsanitized_panel_rejected(self):
-        text = csv_text(
-            [(197307, 5.0, 1.0, 1.0), (197308, -99.99, 2.0, 1.5), (197309, 2.0, 3.0, 2.0)]
-        )
-        panel = parse_panel(text)
-        with pytest.raises(Exception):
-            describe(panel)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
