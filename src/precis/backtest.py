@@ -458,12 +458,11 @@ class StrategyReport:
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Backtest outcome for one panel across all configured strategies."""
+    """Backtest outcome for one panel; report.json holds the run's settings once, beside it."""
 
     dataset: str
     n: int
     p: int
-    window_length: int
     strategies: tuple[StrategyReport, ...]
 
 
@@ -475,27 +474,21 @@ def _defined(metric, *args):
         return None
 
 
-def build_report(
-    runs: dict[str, StrategyRun],
-    panel: ReturnsPanel,
-    config: RollingConfig,
-    dataset: str,
-) -> BacktestReport:
-    """Reduce strategy runs to the per-strategy metric block of the report."""
+def build_report(runs: dict[str, StrategyRun], panel: ReturnsPanel, dataset: str) -> BacktestReport:
+    """Reduce strategy runs, in their order in runs, to the per-strategy metric block."""
     reports: list[StrategyReport] = []
-    for spec in config.strategies:
-        run = runs[spec.name]
+    for run in runs.values():
         flags = [rec.converged for rec in run.records if rec.converged is not None]
         reports.append(
             StrategyReport(
-                name=spec.name,
-                kind=spec.kind,
+                name=run.spec.name,
+                kind=run.spec.kind,
                 available=run.available,
                 n_windows=run.n_windows,
                 n_success=run.n_success,
                 n_failed=len(run.failures),
                 rho=run.rho,
-                tuned=spec.rho is None and run.rho is not None,
+                tuned=run.spec.rho is None and run.rho is not None,
                 oos_mean=_defined(oos_mean, run),
                 oos_variance=_defined(oos_variance, run),
                 sharpe=_defined(oos_sharpe, run),
@@ -507,10 +500,4 @@ def build_report(
                 failures=tuple(run.failures),
             )
         )
-    return BacktestReport(
-        dataset=dataset,
-        n=panel.n,
-        p=panel.p,
-        window_length=config.window_length,
-        strategies=tuple(reports),
-    )
+    return BacktestReport(dataset=dataset, n=panel.n, p=panel.p, strategies=tuple(reports))

@@ -79,6 +79,13 @@ class RunConfig:
         missing = [f"{ds.name!r} ({ds.path})" for ds in self.datasets if not ds.path.exists()]
         if missing:
             raise ConfigError("no such file for dataset " + ", ".join(missing))
+        # each (dataset, strategy) curve needs a file of its own, or one silently replaces another
+        penalized = [s.name for s in self.rolling.strategies if s.penalized]
+        writers: dict[str, tuple[str, str]] = {}
+        for pair in [(d.name, name) for d in self.datasets for name in penalized]:
+            curve = _curve_file(*pair)
+            if writers.setdefault(curve, pair) != pair:
+                raise ConfigError(f"pairs {writers[curve]} and {pair} both write curves/{curve}")
 
 
 def _parse_strategy(entry) -> StrategySpec:
@@ -266,9 +273,13 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     atomic_write(path, text.getvalue())
 
 
+def _curve_file(dataset: str, strategy: str) -> str:
+    return f"{dataset}_{strategy}.csv"
+
+
 def _write_curve(out_dir: Path, dataset: str, strategy: str, curve) -> None:
     write_csv(
-        out_dir / "curves" / f"{dataset}_{strategy}.csv",
+        out_dir / "curves" / _curve_file(dataset, strategy),
         ["rho", "score"],
         [[rho, score] for rho, score in curve],
     )
@@ -376,7 +387,7 @@ def cmd_backtest(config: RunConfig) -> int:
 
     def backtest(ds: DatasetConfig, panel: ReturnsPanel):
         runs = run_rolling(panel, config.rolling)
-        report = build_report(runs, panel, config.rolling, dataset=ds.name)
+        report = build_report(runs, panel, dataset=ds.name)
         curves = {
             name: run.tuning_curve for name, run in runs.items() if run.tuning_curve is not None
         }
@@ -392,11 +403,7 @@ def cmd_backtest(config: RunConfig) -> int:
             print(f"{ds.name} {s.name}: {s.n_success}/{s.n_windows} windows ({status})")
 
     payload = {
-        "config": {
-            "window_length": config.rolling.window_length,
-            "grid": list(config.rolling.tuning_grid),
-            "datasets": [ds.name for ds in config.datasets],
-        },
+        "config": {**_jsonify(config.rolling), "datasets": [ds.name for ds in config.datasets]},
         "reports": reports,
     }
     atomic_write(config.out_dir / "report.json", dump_json(payload))

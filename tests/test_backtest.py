@@ -542,7 +542,7 @@ class TestReport:
             window_length=4,
         )
         runs = run_rolling(panel, config)
-        report = build_report(runs, panel, config, dataset="toy")
+        report = build_report(runs, panel, dataset="toy")
         by_name = {s.name: s for s in report.strategies}
         assert not by_name["S-MVP"].available
         assert by_name["S-MVP"].oos_variance is None
@@ -553,6 +553,6 @@ class TestReport:
     def test_report_carries_protocol_fields(self, rng):
         panel = make_panel(synth_returns(28, 3, rng))
         config = RollingConfig(strategies=(StrategySpec("EW-MVP", "equal"),), window_length=24)
-        report = build_report(run_rolling(panel, config), panel, config, dataset="toy")
-        assert report.n == 28 and report.p == 3 and report.window_length == 24
+        report = build_report(run_rolling(panel, config), panel, dataset="toy")
+        assert report.n == 28 and report.p == 3
         assert report.strategies[0].n_windows == 4

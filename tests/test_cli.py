@@ -192,7 +192,7 @@ def test_backtest_handles_singular_dataset_gracefully(workspace, capsys):
     wide_equal = next(s for s in by_ds["wide"]["strategies"] if s["name"] == "EW-MVP")
     assert wide_equal["available"] is True
     # each setting has one home: the report echoes the tuned grid, no turnover convention
-    assert report["config"]["grid"] == [0.0, 0.5, 1.0]
+    assert report["config"]["tuning_grid"] == [0.0, 0.5, 1.0]
     assert "turnover_convention" not in json.dumps(report)
     tables = root / "out" / "tables"
     for name in (
@@ -210,6 +210,61 @@ def test_backtest_handles_singular_dataset_gracefully(workspace, capsys):
     assert turnover_header == "dataset,strategy,turnover"
 
 
+def test_report_config_block_is_the_run_config(workspace):
+    # every spec is written as held: rho null when tuned or on a kind without
+    # a penalty, alpha 0.5 wherever it is not read
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["solver"] = {"max_iter": 500}
+    raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
+    raw["strategies"] = [
+        "S-MVP",
+        {"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"},
+        {"name": "Ridge-MVP", "kind": "qml_l2", "rho": 0.5},
+        {"name": "EN-MVP", "kind": "qml_elastic", "rho": 0.5, "alpha": 0.3},
+    ]
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["backtest", "--config", str(config)]) == 0
+    report = json.loads((root / "out" / "report.json").read_text())
+    assert report["config"] == {
+        "strategies": [
+            {"name": "S-MVP", "kind": "sample", "rho": None, "alpha": 0.5},
+            {"name": "Glasso-MVP", "kind": "qml_l1", "rho": None, "alpha": 0.5},
+            {"name": "Ridge-MVP", "kind": "qml_l2", "rho": 0.5, "alpha": 0.5},
+            {"name": "EN-MVP", "kind": "qml_elastic", "rho": 0.5, "alpha": 0.3},
+        ],
+        "window_length": 24,
+        "tuning_grid": [0.0, 0.5, 1.0],
+        "solver": {"max_iter": 500, "tol": 1e-06},
+        "datasets": ["toy"],
+    }
+    assert all("window_length" not in rep for rep in report["reports"])
+
+
+@pytest.mark.parametrize("window, tuned", [(24, True), (20, False)])
+def test_tuned_marks_a_rho_found_by_tuning(workspace, window, tuned):
+    # a 20-month window is too short for the 24-row tuning block, so no rho is found
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["window_length"] = window
+    raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
+    raw["strategies"] = [
+        {"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"},
+        {"name": "Ridge-MVP", "kind": "qml_l2", "rho": 0.5},
+        "S-MVP",
+    ]
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["backtest", "--config", str(config)]) == 0
+    rows = json.loads((root / "out" / "report.json").read_text())["reports"][0]["strategies"]
+    assert [(s["name"], s["tuned"]) for s in rows] == [
+        ("Glasso-MVP", tuned),
+        ("Ridge-MVP", False),
+        ("S-MVP", False),
+    ]
+    assert (rows[0]["rho"] is not None) == tuned
+    assert rows[1]["rho"] == 0.5 and rows[2]["rho"] is None
+
+
 def test_backtest_is_byte_deterministic(workspace):
     root, config = workspace
     assert main(["backtest", "--config", str(config)]) == 0
@@ -224,6 +279,20 @@ def test_no_temp_files_left_behind(workspace):
     assert main(["backtest", "--config", str(config)]) == 0
     leftovers = [p for p in (root / "out").rglob("*.tmp*")]
     assert leftovers == []
+
+
+def test_out_flag_resolves_against_the_working_directory(workspace, tmp_path_factory, monkeypatch):
+    # like any path typed on a command line; the config's out resolves against the config file
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
+    config.write_text(yaml.safe_dump(raw))
+    cwd = tmp_path_factory.mktemp("cwd")
+    monkeypatch.chdir(cwd)
+    before = sorted(root.rglob("*"))
+    assert main(["backtest", "--config", str(config), "--out", "rel"]) == 0
+    assert (cwd / "rel" / "report.json").exists()
+    assert sorted(root.rglob("*")) == before
 
 
 @pytest.mark.parametrize(
@@ -625,6 +694,22 @@ def test_names_must_be_single_path_components(workspace, capsys, command, bad, w
     assert main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {where} name"), err
+    assert sorted(root.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["tune", "backtest"])
+def test_two_pairs_may_not_share_a_curve_file(workspace, capsys, command):
+    # (x_y, Glasso) and (x, y_Glasso) would both write curves/x_y_Glasso.csv
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["datasets"] = [{"name": "x_y", "path": "toy.csv"}, {"name": "x", "path": "toy.csv"}]
+    raw["strategies"] = [{"name": n, "kind": "qml_l1", "rho": "tune"} for n in ("Glasso", "y_Glasso")]
+    config.write_text(yaml.safe_dump(raw))
+    before = sorted(root.rglob("*"))
+    assert main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert all(pair in err[0] for pair in ("('x_y', 'Glasso')", "('x', 'y_Glasso')")), err
     assert sorted(root.rglob("*")) == before
 
 
