@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end demo on synthetic data: describe, tune, and backtest.
+"""End-to-end demo on synthetic data: describe, tune, backtest, and diagnose.
 
 Creates two synthetic monthly-percent-return panels under DEMO_DIR (one
 ordinary, one with more assets than the estimation window so the sample
@@ -31,7 +31,7 @@ def run():
         (DEMO_DIR / name).write_text(text)
     config_path = DEMO_DIR / "demo.yaml"
 
-    for command in ("describe", "tune", "backtest"):
+    for command in ("describe", "tune", "backtest", "diagnose"):
         print(f"\n=== precis {command} ===")
         code = main([command, "--config", str(config_path)])
         if code != 0:

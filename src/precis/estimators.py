@@ -155,7 +155,7 @@ class PrecisionEstimate:
 
 
 def sample_precision(decomp: EigenDecomposition) -> PrecisionEstimate:
-    """S^-1 as S's spectrum, checked now as invert_spd checks it: singular windows fail."""
+    """S^-1 as S's spectrum, checked now by check_spd: singular windows fail."""
     return PrecisionEstimate(spectrum=check_spd(decomp))
 
 
@@ -514,6 +514,8 @@ def tune_rho(
     grid = [float(g) for g in grid]
     if not grid:
         raise TuningError("empty rho grid")
+    if not all(0.0 <= g < math.inf for g in grid):
+        raise TuningError(f"rho grid points must be finite and nonnegative, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise TuningError("rho grid must be strictly ascending")
     n_fit = math.ceil(TUNE_FIT_SHARE * block.shape[0])  # 24 rows leave 18 to fit, 6 to score

@@ -83,35 +83,28 @@ def sym_eigen(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def _classify_spectrum(eigenvalues: np.ndarray) -> tuple[float, float, float]:
-    """Return (lambda_min, lambda_max, singularity cutoff); raise if indefinite."""
-    lam_min = float(eigenvalues[0])
-    lam_max = float(eigenvalues[-1])
-    eps_sing = SINGULARITY_RTOL * max(lam_max, 0.0)
-    neg_tol = PSD_RTOL * max(lam_max, 0.0) + 1e-300
-    if lam_min < -neg_tol:
-        raise NotPSDError(f"negative eigenvalue {lam_min:.6e} (max {lam_max:.6e})")
-    return lam_min, lam_max, eps_sing
-
-
 def condition_number(a: np.ndarray | EigenDecomposition) -> float:
     """lambda_max / lambda_min of a symmetric PSD matrix; inf when singular.
 
-    A matrix and its inverse share this value, so callers may pass either.
+    The one test of a spectrum: NotPSDError on a negative eigenvalue beyond
+    noise, inf when lambda_min <= SINGULARITY_RTOL lambda_max. A matrix and
+    its inverse share this value, so callers may pass either.
     """
     decomp = a if isinstance(a, EigenDecomposition) else sym_eigen(a)
-    lam_min, lam_max, eps_sing = _classify_spectrum(decomp.eigenvalues)
-    if lam_min <= eps_sing:
-        return np.inf
-    return lam_max / lam_min
+    lam_min, lam_max = float(decomp.eigenvalues[0]), float(decomp.eigenvalues[-1])
+    scale = max(lam_max, 0.0)
+    if lam_min < -(PSD_RTOL * scale + 1e-300):
+        raise NotPSDError(f"negative eigenvalue {lam_min:.6e} (max {lam_max:.6e})")
+    return np.inf if lam_min <= SINGULARITY_RTOL * scale else lam_max / lam_min
 
 
 def check_spd(decomp: EigenDecomposition) -> EigenDecomposition:
-    """decomp, if its matrix is positive definite; else NotPSDError or SingularMatrixError."""
-    lam_min, lam_max, eps_sing = _classify_spectrum(decomp.eigenvalues)
-    if lam_min <= eps_sing:
+    """decomp, if its condition_number is finite; else NotPSDError or SingularMatrixError."""
+    if condition_number(decomp) == np.inf:
+        lam = decomp.eigenvalues
         raise SingularMatrixError(
-            f"smallest eigenvalue {lam_min:.6e} at or below cutoff {eps_sing:.6e}"
+            f"smallest eigenvalue {lam[0]:.6e} at or below cutoff "
+            f"{SINGULARITY_RTOL * max(lam[-1], 0.0):.6e}"
         )
     return decomp
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMatrixError, NonconvergenceError, SingularMatrixError
-from .linalg import EigenDecomposition, check_symmetric, condition_number, sym_eigen
+from .linalg import EigenDecomposition, check_spd, check_symmetric, sym_eigen
 
 WEIGHT_SUM_TOL = 1e-10
 
@@ -85,15 +85,13 @@ def no_short_mvp(
     deterministic (lowest index) so runs are reproducible. The optimum is
     unique (S is positive definite): start changes only the path to it.
 
-    spectrum, S's EigenDecomposition, is computed when not given; a singular
-    one raises SingularMatrixError up front, as windows with more assets than
+    spectrum, S's EigenDecomposition, is computed when not given; check_spd
+    rejects a singular one up front, as windows with more assets than
     observations report no portfolio. Returns the weights and KKT certificate.
     """
     s = check_symmetric(s)
     p = s.shape[0]
-    spectrum = sym_eigen(s) if spectrum is None else spectrum
-    if not np.isfinite(condition_number(spectrum)):
-        raise SingularMatrixError("covariance is singular; no-short MVP not constructed")
+    spectrum = check_spd(sym_eigen(s) if spectrum is None else spectrum)
 
     if start is None:
         start = np.clip(mvp_weights(spectrum).weights, 0.0, None)

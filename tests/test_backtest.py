@@ -169,6 +169,23 @@ class TestRunRolling:
         assert run.rho in (0.0, 0.5, 1.0)
         assert [r for r, _ in run.tuning_curve] == [0.0, 0.5, 1.0]
 
+    @pytest.mark.parametrize("grid", [(-1.0, 0.0), (np.nan, 1.0), (0.0, np.inf)])
+    def test_invalid_tuning_grid_recorded_on_every_window(self, rng, grid):
+        panel = make_panel(synth_returns(40, 4, rng))
+        config = RollingConfig(
+            strategies=(StrategySpec("Glasso-MVP", "qml_l1", rho=None),
+                        StrategySpec("Ridge-MVP", "qml_l2", rho=None),
+                        StrategySpec("EW-MVP", "equal")),
+            window_length=30,
+            tuning_grid=grid,
+        )
+        runs = run_rolling(panel, config)
+        for name in ("Glasso-MVP", "Ridge-MVP"):
+            assert [t for t, _ in runs[name].failures] == list(range(30, 40))
+            assert all(f.startswith("TuningError: rho grid points") for _, f in runs[name].failures)
+            assert not runs[name].available
+        assert runs["EW-MVP"].n_success == 10
+
     def test_duplicate_strategy_names_rejected(self):
         with pytest.raises(ConfigError):
             RollingConfig(

@@ -584,6 +584,8 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         (lambda raw: raw["solver"].update(tol=[1]), "tol"),
         (lambda raw: raw["solver"].update(tol=float("nan")), "tol"),
         (lambda raw: raw["solver"].update(tol=float("inf")), "tol"),
+        # an integer that SolverOptions rejects
+        (lambda raw: raw["solver"].update(max_iter=0), "max_iter"),
     ],
     ids=[
         "name-not-a-string",
@@ -611,6 +613,7 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         "tol-a-list",
         "tol-nan",
         "tol-inf",
+        "max_iter-zero",
     ],
 )
 def test_malformed_config_value_is_a_config_error(workspace, capsys, change, key):

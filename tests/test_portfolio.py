@@ -125,8 +125,11 @@ class TestSpectralMvpWeights:
             spectral = _outcome(lambda: mvp_weights(build(decomp).spectrum))
             assert dense == spectral
             assert dense[0] is expected
-        if case != "zero_normalizer":  # the estimators raise what invert_spd raises
+        if case != "zero_normalizer":  # the estimators, invert_spd and the QP share check_spd
             assert _outcome(lambda: invert_spd(decomp)) == dense
+            u = decomp.eigenvectors
+            s = (u * decomp.eigenvalues) @ u.T
+            assert _outcome(lambda: no_short_mvp(s, spectrum=decomp)) == dense
 
     def test_zero_normalizer_on_a_spectrum(self):
         # the covariance spectrum that psi = [[1, -1], [-1, 1]] pseudo-inverts
