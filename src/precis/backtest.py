@@ -40,8 +40,6 @@ from .portfolio import WeightVector, equal_weights, mvp_weights, no_short_mvp
 
 logger = logging.getLogger(__name__)
 
-SPARSITY_ZERO_TOL = 1e-8
-
 # Conventional labels for the strategies, matching the published tables.
 PAPER_LABELS = {
     "S-MVP": "sample",
@@ -159,14 +157,17 @@ class WindowRecord:
 
 @dataclass
 class StrategyRun:
-    """All windows of one strategy over one panel."""
+    """One strategy over one panel, tuning to report; each window adds a record or a failure."""
 
     spec: StrategySpec
-    n_windows: int
     records: list[WindowRecord] = field(default_factory=list)
     failures: list[tuple[int, str]] = field(default_factory=list)
     rho: float | None = None  # the rho every window is fit at: the spec's or the tuned one
     tuning_curve: list[tuple[float, float]] | None = None
+
+    @property
+    def n_windows(self) -> int:
+        return len(self.records) + len(self.failures)
 
     @property
     def oos_returns(self) -> np.ndarray:
@@ -216,8 +217,7 @@ def _window_weights(
             penalty = PenaltySpec(kind=spec.penalty_kind, rho=float(run.rho), alpha=spec.alpha)
             estimate = penalized_qml(s, window.shape[0], penalty, solver)
             converged = estimate.converged
-            off = estimate.psi[~np.eye(p, dtype=bool)]
-            zero_fraction = float(np.mean(np.abs(off) < SPARSITY_ZERO_TOL))
+            zero_fraction = float(np.mean(estimate.psi[~np.eye(p, dtype=bool)] == 0.0))
         source = estimate.psi if estimate.spectrum is None else estimate.spectrum
         cond, wv = condition_number(source), mvp_weights(source)
 
@@ -233,14 +233,15 @@ def _window_weights(
 
 def tune_strategies(
     panel: ReturnsPanel, config: RollingConfig, specs: list[StrategySpec]
-) -> list[tuple[float | None, list[tuple[float, float]] | None, str | None]]:
-    """(rho, curve, failure) per penalized spec, tuned together on the panel's first window.
+) -> list[StrategyRun]:
+    """One run per penalized spec, holding rho and curve tuned on the panel's first window.
 
-    An error from the grid search fails every spec with (None, None,
-    "ErrorType: message"); a spec with no converged grid point keeps its
-    curve with a TuningError failure. The panel must be longer than the
-    window, with or without specs, so `precis tune` and `precis backtest`
-    accept the same panels and agree on what counts as a failed strategy.
+    A run records no window yet, unless tuning failed: then it holds
+    "ErrorType: message" on every window. An error from the grid search
+    fails every spec alike, with no curve; a spec with no converged grid
+    point keeps its curve with a TuningError. The panel must be longer than
+    the window, with or without specs, so `precis tune` and `precis
+    backtest` accept the same panels and agree on what counts as a failure.
     """
     t_len = config.window_length
     if panel.n <= t_len:
@@ -254,10 +255,12 @@ def tune_strategies(
         tuned, error = [(None, None)] * len(specs), failure(exc)
     else:
         error = failure(TuningError("every grid point failed to produce a converged estimate"))
-    for spec, (rho, _) in zip(specs, tuned):
-        if rho is None:
-            logger.warning("strategy %s: tuning failed (%s)", spec.name, error)
-    return [(rho, curve, None if rho is not None else error) for rho, curve in tuned]
+    runs = [StrategyRun(s, rho=rho, tuning_curve=curve) for s, (rho, curve) in zip(specs, tuned)]
+    for run in runs:
+        if run.rho is None:
+            logger.warning("strategy %s: tuning failed (%s)", run.spec.name, error)
+            run.failures.extend((t, error) for t in range(t_len, panel.n))
+    return runs
 
 
 def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, StrategyRun]:
@@ -265,32 +268,25 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
 
     Window t (t = T .. n-1) estimates on rows [t-T, t) and realizes the
     weighted return of row t, so no estimate ever sees its evaluation month.
-    Penalized strategies with rho=None are tuned once by tune_strategies on
-    the first T rows (the first estimation window) and the tuned value is
-    held fixed for every window. When tuning fails, every window of that
-    strategy records the tuning failure and the strategy is unavailable;
-    the other strategies still run. Then one pass over the windows fits
-    every strategy on each, sharing one sample covariance and one spectrum
-    per window. The no-short QP starts from the strategy's latest weights, or
-    else from its own cold start; its optimum does not depend on the start.
+    Penalized strategies with rho=None take their runs from tune_strategies,
+    tuned once on the first T rows (the first estimation window) and held
+    for every window; the others start plain runs at their spec's rho, all
+    in config order. A run whose tuning failed already records the failure
+    on every window; the other strategies still run. One pass over the
+    windows then fits every run that records no failure, sharing one sample
+    covariance and one spectrum per window. The no-short QP starts from the
+    strategy's latest weights, or else from its own cold start; its optimum
+    does not depend on the start.
     """
     to_tune = [spec for spec in config.strategies if spec.penalized and spec.rho is None]
-    tuned = dict(zip(to_tune, tune_strategies(panel, config, to_tune)))  # checks the panel too
+    tuned = {run.spec: run for run in tune_strategies(panel, config, to_tune)}  # checks the panel
+    runs = {
+        spec.name: tuned[spec] if spec in tuned else StrategyRun(spec, rho=spec.rho)
+        for spec in config.strategies
+    }
+    live = [run for run in runs.values() if not run.failures]  # the runs to fit
     t_len = config.window_length
-    n = panel.n
-    n_windows = n - t_len
-
-    runs: dict[str, StrategyRun] = {}
-    live: list[StrategyRun] = []  # the runs to fit
-    for spec in config.strategies:
-        run = runs[spec.name] = StrategyRun(spec=spec, n_windows=n_windows, rho=spec.rho)
-        if spec in tuned:
-            run.rho, run.tuning_curve, error = tuned[spec]
-            if error is not None:
-                run.failures.extend((t, error) for t in range(t_len, n))
-                continue
-        live.append(run)
-    for t in range(t_len, n) if live else ():
+    for t in range(t_len, panel.n) if live else ():
         window = panel.returns[t - t_len : t]
         s = sample_covariance(window)
         decomp = sym_eigen(s)
@@ -397,7 +393,7 @@ def weight_distribution(run: StrategyRun) -> dict[str, float]:
 
 
 def sparsity(run: StrategyRun) -> float:
-    """Average fraction of off-diagonal precision entries at zero (|x| < 1e-8)."""
+    """Share of off-diagonal psi entries exactly 0, averaged over windows; Ridge's is 0."""
     vals = np.asarray([rec.zero_fraction for rec in run.records])
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
@@ -483,11 +479,8 @@ def build_report(runs: dict[str, StrategyRun], panel: ReturnsPanel, dataset: str
             StrategyReport(
                 name=run.spec.name,
                 kind=run.spec.kind,
-                available=run.available,
-                n_windows=run.n_windows,
-                n_success=run.n_success,
+                **{key: getattr(run, key) for key in ("available", "n_windows", "n_success", "rho")},
                 n_failed=len(run.failures),
-                rho=run.rho,
                 tuned=run.spec.rho is None and run.rho is not None,
                 oos_mean=_defined(oos_mean, run),
                 oos_variance=_defined(oos_variance, run),

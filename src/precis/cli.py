@@ -176,10 +176,12 @@ def load_config(path: Path, overrides: argparse.Namespace | None = None) -> RunC
     """
     try:
         raw = yaml.safe_load(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
+    except yaml.YAMLError as exc:  # on one line: the problem and its place, not yaml's excerpt
+        mark = getattr(exc, "problem_mark", None)
+        detail = f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}" if mark else exc
+        raise ConfigError(f"malformed config {path}: {' '.join(str(detail).split())}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping at the top level")
     _reject_unknown_keys(raw, TOP_LEVEL_KEYS, "top-level")
@@ -329,18 +331,18 @@ def cmd_tune(config: RunConfig) -> int:
     )
     summary: dict[str, dict[str, float | None]] = {}
     grid = config.rolling.tuning_grid
-    for ds, tuned in results:
+    for ds, runs in results:
         summary[ds.name] = {}
-        for spec, (rho_star, curve, error) in zip(penalized, tuned):
+        for run in runs:
             # a failed tuning is report content: a null rho*, exit code 0
-            summary[ds.name][spec.name] = rho_star
-            if curve is not None:
-                _write_curve(config.out_dir, ds.name, spec.name, curve)
+            summary[ds.name][run.spec.name] = run.rho
+            if run.tuning_curve is not None:
+                _write_curve(config.out_dir, ds.name, run.spec.name, run.tuning_curve)
             # no rho lies below 0, so a grid that starts at 0 has no lower endpoint to flag
-            at_end = rho_star == grid[-1] or rho_star == grid[0] > 0
+            at_end = run.rho == grid[-1] or run.rho == grid[0] > 0
             endpoint = " (grid endpoint)" if at_end else ""
-            status = f"rho*={rho_star}{endpoint}" if error is None else f"no rho* ({error})"
-            print(f"{ds.name} {spec.name}: {status}")
+            status = f"no rho* ({run.failures[0][1]})" if run.failures else f"rho*={run.rho}{endpoint}"
+            print(f"{ds.name} {run.spec.name}: {status}")
     atomic_write(config.out_dir / "tune.json", dump_json(summary))
     return 0
 

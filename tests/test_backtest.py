@@ -56,7 +56,7 @@ def fake_run(weight_rows, oos=None, conds=None, zeros=None, start_id=0, gaps=())
             )
         )
         wid += 1
-    return StrategyRun(spec=spec, n_windows=len(records), records=records)
+    return StrategyRun(spec=spec, records=records)
 
 
 class TestRunRolling:
@@ -169,8 +169,17 @@ class TestRunRolling:
         assert run.rho in (0.0, 0.5, 1.0)
         assert [r for r, _ in run.tuning_curve] == [0.0, 0.5, 1.0]
 
-    @pytest.mark.parametrize("grid", [(-1.0, 0.0), (np.nan, 1.0), (0.0, np.inf)])
-    def test_invalid_tuning_grid_recorded_on_every_window(self, rng, grid):
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ((-1.0, 0.0), "TuningError: rho grid points"),
+            ((np.nan, 1.0), "TuningError: rho grid points"),
+            ((0.0, np.inf), "TuningError: rho grid points"),
+            ((), "TuningError: empty rho grid"),
+        ],
+        ids=["grid0", "grid1", "grid2", "grid3"],
+    )
+    def test_invalid_tuning_grid_recorded_on_every_window(self, rng, grid, message):
         panel = make_panel(synth_returns(40, 4, rng))
         config = RollingConfig(
             strategies=(StrategySpec("Glasso-MVP", "qml_l1", rho=None),
@@ -182,9 +191,21 @@ class TestRunRolling:
         runs = run_rolling(panel, config)
         for name in ("Glasso-MVP", "Ridge-MVP"):
             assert [t for t, _ in runs[name].failures] == list(range(30, 40))
-            assert all(f.startswith("TuningError: rho grid points") for _, f in runs[name].failures)
+            assert all(f.startswith(message) for _, f in runs[name].failures)
             assert not runs[name].available
         assert runs["EW-MVP"].n_success == 10
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0, 1e4])
+    def test_ridge_sparsity_is_zero_in_any_units(self, scale):
+        # Ridge's psi has no exact zero, so its sparsity is 0 whatever the
+        # units of the returns; a |x| < 1e-8 count read 1.0 at scale 1e4
+        panel = make_panel(synth_returns(40, 6, np.random.default_rng(0)) * scale)
+        strategies = (StrategySpec("Ridge-MVP", "qml_l2", rho=0.5),
+                      StrategySpec("Glasso-MVP", "qml_l1", rho=0.5))
+        runs = run_rolling(panel, RollingConfig(strategies=strategies, window_length=30))
+        assert all(rec.converged for run in runs.values() for rec in run.records)
+        assert runs["Ridge-MVP"].n_success == 10
+        assert sparsity(runs["Ridge-MVP"]) == 0.0
 
     def test_duplicate_strategy_names_rejected(self):
         with pytest.raises(ConfigError):
@@ -467,6 +488,14 @@ class TestMetrics:
         held = np.array([0.4, 0.6]) * (1.0 + panel.returns[2] / 100.0)
         expected = np.abs(np.array([0.3, 0.7]) - held).sum()
         assert turnover(run, panel) == pytest.approx(expected)
+
+    def test_turnover_skips_a_wiped_out_month(self):
+        # a -100% month leaves no holdings to drift: the one adjacent pair is
+        # skipped, and with no pair left turnover is undefined
+        panel = SimpleNamespace(returns=np.array([[-100.0, -100.0], [1.0, 2.0]]))
+        run = fake_run([[0.5, 0.5], [0.4, 0.6]], oos=[-100.0, 1.6])
+        with pytest.raises(InsufficientDataError, match="no adjacent window pairs"):
+            turnover(run, panel)
 
     def test_weight_distribution_equal_weights(self):
         run = fake_run([[0.25] * 4] * 3)

@@ -318,6 +318,41 @@ def test_unknown_strategy_label_fails(workspace):
     assert main(["describe", "--config", str(config)]) == 1
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read config"),
+        (b"out: \"\xff\"\n", "cannot read config"),
+        (b"datasets: [\n", "malformed config"),
+        (b"out: a: b\n", "malformed config"),
+        (b"- toy\n", "must be a mapping at the top level"),
+    ],
+    ids=["missing", "not-utf8", "yaml-unclosed", "yaml-nested-mapping", "top-level-a-list"],
+)
+def test_unloadable_config_fails_on_one_line(tmp_path, capsys, content, message):
+    config = tmp_path / "run.yaml"
+    if content is not None:
+        config.write_bytes(content)
+    assert main(["backtest", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == ([] if content is None else [config])
+
+
+def test_tune_needs_a_penalized_strategy(workspace, capsys):
+    root, config = workspace
+    raw = yaml.safe_load(config.read_text())
+    raw["strategies"] = ["S-MVP", "EW-MVP", "LW-MVP"]
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["tune", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: no penalized strategies configured; nothing to tune"]
+    assert captured.out == ""
+    assert not (root / "out").exists()
+
+
 def test_unknown_solver_key_fails(workspace):
     root, config = workspace
     raw = yaml.safe_load(config.read_text())
@@ -351,7 +386,7 @@ def test_diagnose_reports_rank_deficiency_without_failing(tmp_path, rng, capsys)
     assert "short: MulticollinearityError" in out
 
 
-def test_tuning_failure_is_content_for_tune_and_backtest(workspace):
+def test_tuning_failure_is_content_for_tune_and_backtest(workspace, capsys):
     # a 20-month window is too short for the 24-row tuning block: both
     # commands record the failure for the tuned strategy and carry on
     root, config = workspace
@@ -368,9 +403,13 @@ def test_tuning_failure_is_content_for_tune_and_backtest(workspace):
     assert not tuned["available"]
     assert tuned["n_failed"] == tuned["n_windows"] == 20
     assert all(msg.startswith("InsufficientDataError") for _, msg in tuned["failures"])
+    capsys.readouterr()
     assert main(["tune", "--config", str(config)]) == 0
     summary = json.loads((root / "out" / "tune.json").read_text())
     assert summary == {"toy": {"Glasso-MVP": None}}
+    # tune prints the very text the report records on each window
+    (msg,) = {msg for _, msg in tuned["failures"]}
+    assert capsys.readouterr().out.splitlines() == [f"toy Glasso-MVP: no rho* ({msg})"]
 
 
 @pytest.mark.parametrize("window", [40, 41], ids=["window-equals-rows", "window-exceeds-rows"])
@@ -494,6 +533,10 @@ def test_tune_and_backtest_write_identical_curves(workspace):
         ({"name": "PCA-MVP", "pca_threshold": 0}, "pca_threshold"),
         ({"name": "LW-MVP", "pca_threshold": 0.9}, "pca_threshold"),
         ({"name": "PCA-MVP", "lw_alpha": 0.5}, "lw_alpha"),
+        (3, "labels or mappings"),
+        ({"name": "Custom", "kind": "qml_l3"}, "needs a kind"),
+        ({"name": "Custom"}, "needs a kind"),
+        ({"name": "Ridge-MVP", "kind": "qml_l2", "rho": -1}, "rho must be finite and nonnegative"),
     ],
     ids=[
         "alpha-out-of-range",
@@ -506,6 +549,10 @@ def test_tune_and_backtest_write_identical_curves(workspace):
         "pca_threshold-out-of-range",
         "pca_threshold-on-ledoit-wolf",
         "lw_alpha-on-pca",
+        "entry-a-number",
+        "kind-unknown",
+        "kind-missing-for-a-custom-name",
+        "rho-negative",
     ],
 )
 def test_bad_strategy_parameter_is_a_config_error(workspace, capsys, strategy, key):
@@ -586,6 +633,10 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         (lambda raw: raw["solver"].update(tol=float("inf")), "tol"),
         # an integer that SolverOptions rejects
         (lambda raw: raw["solver"].update(max_iter=0), "max_iter"),
+        (lambda raw: raw["datasets"][0].pop("path"), "needs name and path"),
+        (lambda raw: raw["grid"].update(step=0), "step must be positive"),
+        (lambda raw: raw["grid"].update(step=-0.5), "step must be positive"),
+        (lambda raw: raw["grid"].update(start=1.0, stop=0.5), "below start"),
     ],
     ids=[
         "name-not-a-string",
@@ -614,6 +665,10 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         "tol-nan",
         "tol-inf",
         "max_iter-zero",
+        "dataset-without-path",
+        "grid-step-zero",
+        "grid-step-negative",
+        "grid-stop-below-start",
     ],
 )
 def test_malformed_config_value_is_a_config_error(workspace, capsys, change, key):

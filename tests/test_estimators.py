@@ -109,6 +109,13 @@ class TestLedoitWolf:
         alpha = ledoit_wolf_intensity(window, sample_covariance(window))
         assert 0.0 < alpha < 1.0
 
+    def test_intensity_zero_when_sample_covariance_is_scaled_identity(self):
+        # rows (+-1, +-1) give S = 4/3 I: already on the shrinkage target
+        window = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        s = sample_covariance(window)
+        assert np.array_equal(s, 4 / 3 * np.eye(2))
+        assert ledoit_wolf_intensity(window, s) == 0.0
+
     def test_singular_covariance_still_invertible(self, rng):
         window = rng.normal(size=(10, 20))
         s = sample_covariance(window)

@@ -37,6 +37,13 @@ class TestParse:
         assert list(panel.dates) == [197307, 197308, 197309]
         assert panel.returns[2, 0] == 3.25
 
+    def test_blank_line_between_rows_skipped(self):
+        lines = BASIC.splitlines()
+        text = "\n".join(lines[:2] + ["", " , , , "] + lines[2:])
+        panel = parse_panel(text.encode())
+        assert np.array_equal(panel.returns, parse_panel(BASIC.encode()).returns)
+        assert list(panel.dates) == [197307, 197308, 197309]
+
     def test_sentinel_minus_999_flagged_once(self):
         text = csv_text(
             [(197307, 1.0, 2.0, 3.0), (197308, -999, 1.0, 1.0), (197309, 0.5, 0.5, 0.5)]
