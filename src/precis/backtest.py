@@ -92,7 +92,8 @@ DEFAULT_RHO_GRID = grid_values(*DEFAULT_GRID)
 class StrategySpec:
     """One portfolio strategy: estimator kind plus its parameters.
 
-    rho=None on a penalized kind means "tune on the first estimation window".
+    A penalized (qml_*) kind with rho=None, the config's "rho: tune", is
+    tuned on the first estimation window; a rho set on it is held fixed.
     """
 
     name: str
@@ -114,13 +115,12 @@ class StrategySpec:
                 raise ConfigError(f"strategy kind {self.kind!r} reads no {param.name}, got {value}")
 
     @property
-    def penalized(self) -> bool:
-        return self.kind.startswith("qml_")
+    def tuned(self) -> bool:
+        """Whether rho is tuned: one rule for `precis tune`, `precis backtest` and the report."""
+        return self.kind.startswith("qml_") and self.rho is None
 
     @property
     def penalty_kind(self) -> str:
-        if not self.penalized:
-            raise ConfigError(f"strategy kind {self.kind!r} has no penalty")
         return self.kind.removeprefix("qml_")
 
 
@@ -231,21 +231,21 @@ def _window_weights(
     )
 
 
-def tune_strategies(
-    panel: ReturnsPanel, config: RollingConfig, specs: list[StrategySpec]
-) -> list[StrategyRun]:
-    """One run per penalized spec, holding rho and curve tuned on the panel's first window.
+def tune_strategies(panel: ReturnsPanel, config: RollingConfig) -> list[StrategyRun]:
+    """One run per tuned spec, in config order, holding rho and curve tuned on the first window.
 
     A run records no window yet, unless tuning failed: then it holds
     "ErrorType: message" on every window. An error from the grid search
     fails every spec alike, with no curve; a spec with no converged grid
     point keeps its curve with a TuningError. The panel must be longer than
-    the window, with or without specs, so `precis tune` and `precis
-    backtest` accept the same panels and agree on what counts as a failure.
+    the window, whether or not any spec is tuned, so `precis tune` and
+    `precis backtest` accept the same panels, tune the same strategies and
+    agree on what counts as a failure.
     """
     t_len = config.window_length
     if panel.n <= t_len:
         raise InsufficientDataError(f"panel has {panel.n} rows; need more than window length {t_len}")
+    specs = [spec for spec in config.strategies if spec.tuned]
     if not specs:
         return []
     penalties = [(spec.penalty_kind, spec.alpha) for spec in specs]
@@ -268,18 +268,17 @@ def run_rolling(panel: ReturnsPanel, config: RollingConfig) -> dict[str, Strateg
 
     Window t (t = T .. n-1) estimates on rows [t-T, t) and realizes the
     weighted return of row t, so no estimate ever sees its evaluation month.
-    Penalized strategies with rho=None take their runs from tune_strategies,
-    tuned once on the first T rows (the first estimation window) and held
-    for every window; the others start plain runs at their spec's rho, all
-    in config order. A run whose tuning failed already records the failure
-    on every window; the other strategies still run. One pass over the
-    windows then fits every run that records no failure, sharing one sample
-    covariance and one spectrum per window. The no-short QP starts from the
+    Tuned strategies (StrategySpec.tuned) take their runs from
+    tune_strategies, tuned once on the first T rows (the first estimation
+    window) and held for every window; the others start plain runs at their
+    spec's rho, all in config order. A run whose tuning failed already
+    records the failure on every window; the other strategies still run.
+    One pass over the windows then fits every run that records no failure,
+    sharing one sample covariance and one spectrum per window. The no-short QP starts from the
     strategy's latest weights, or else from its own cold start; its optimum
     does not depend on the start.
     """
-    to_tune = [spec for spec in config.strategies if spec.penalized and spec.rho is None]
-    tuned = {run.spec: run for run in tune_strategies(panel, config, to_tune)}  # checks the panel
+    tuned = {run.spec: run for run in tune_strategies(panel, config)}  # checks the panel
     runs = {
         spec.name: tuned[spec] if spec in tuned else StrategyRun(spec, rho=spec.rho)
         for spec in config.strategies
@@ -481,7 +480,7 @@ def build_report(runs: dict[str, StrategyRun], panel: ReturnsPanel, dataset: str
                 kind=run.spec.kind,
                 **{key: getattr(run, key) for key in ("available", "n_windows", "n_success", "rho")},
                 n_failed=len(run.failures),
-                tuned=run.spec.rho is None and run.rho is not None,
+                tuned=run.spec.tuned and run.rho is not None,
                 oos_mean=_defined(oos_mean, run),
                 oos_variance=_defined(oos_variance, run),
                 sharpe=_defined(oos_sharpe, run),

@@ -80,9 +80,9 @@ class RunConfig:
         if missing:
             raise ConfigError("no such file for dataset " + ", ".join(missing))
         # each (dataset, strategy) curve needs a file of its own, or one silently replaces another
-        penalized = [s.name for s in self.rolling.strategies if s.penalized]
+        tuned = [s.name for s in self.rolling.strategies if s.tuned]
         writers: dict[str, tuple[str, str]] = {}
-        for pair in [(d.name, name) for d in self.datasets for name in penalized]:
+        for pair in [(d.name, name) for d in self.datasets for name in tuned]:
             curve = _curve_file(*pair)
             if writers.setdefault(curve, pair) != pair:
                 raise ConfigError(f"pairs {writers[curve]} and {pair} both write curves/{curve}")
@@ -159,6 +159,8 @@ def _parse_dataset(entry, config_dir: Path) -> DatasetConfig:
             rng = tuple(None if end is None else month_stamp(end) for end in rng)
         except ParseError as exc:
             raise ConfigError(f"dataset {name!r} date_range: {exc}") from None
+        if None not in rng and rng[0] > rng[1]:
+            raise ConfigError(f"dataset {name!r} date_range ends before it starts: {rng[0]} > {rng[1]}")
     return DatasetConfig(
         name=name,
         path=(config_dir / _typed(entry["path"], str, f"dataset {name!r} path")).resolve(),
@@ -323,12 +325,10 @@ def cmd_describe(config: RunConfig) -> int:
 
 
 def cmd_tune(config: RunConfig) -> int:
-    penalized = [s for s in config.rolling.strategies if s.penalized]
-    if not penalized:
-        raise ConfigError("no penalized strategies configured; nothing to tune")
-    results = _each_dataset(
-        config, lambda ds, panel: tune_strategies(panel, config.rolling, penalized)
-    )
+    """rho* and curve per dataset for each rho: tune strategy, tuned as `precis backtest` does."""
+    if not any(s.tuned for s in config.rolling.strategies):  # before any dataset is read
+        raise ConfigError("no strategy has rho: tune; nothing to tune")
+    results = _each_dataset(config, lambda ds, panel: tune_strategies(panel, config.rolling))
     summary: dict[str, dict[str, float | None]] = {}
     grid = config.rolling.tuning_grid
     for ds, runs in results:

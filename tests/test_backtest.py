@@ -223,6 +223,7 @@ class TestRunRolling:
             lambda: RollingConfig(strategies=(), window_length=30.0),
             lambda: RollingConfig(strategies=(), window_length="30"),
             lambda: RollingConfig(strategies=(), window_length=True),
+            lambda: StrategySpec("X", "bogus"),
         ],
         ids=[
             "rho-on-sample",
@@ -231,6 +232,7 @@ class TestRunRolling:
             "window-a-float",
             "window-text",
             "window-a-boolean",
+            "unknown-kind",
         ],
     )
     def test_unread_parameter_or_non_integer_window_rejected(self, build):

@@ -173,6 +173,7 @@ def test_tune_total_failure_is_content_not_crash(workspace):
     raw["solver"] = {"max_iter": 5}
     raw["grid"] = {"start": 0.0, "stop": 0.5, "step": 0.5}
     raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "wide"]
+    raw["strategies"][-1]["rho"] = "tune"
     config.write_text(yaml.safe_dump(raw))
     assert main(["tune", "--config", str(config)]) == 0
     summary = json.loads((root / "out" / "tune.json").read_text())
@@ -341,14 +342,23 @@ def test_unloadable_config_fails_on_one_line(tmp_path, capsys, content, message)
     assert sorted(tmp_path.iterdir()) == ([] if content is None else [config])
 
 
-def test_tune_needs_a_penalized_strategy(workspace, capsys):
+# tune runs only strategies whose rho is tuned; a fixed rho is backtest's alone
+@pytest.mark.parametrize(
+    "strategies",
+    [
+        ["S-MVP", "EW-MVP", "LW-MVP"],
+        ["EW-MVP", {"name": "Ridge-MVP", "kind": "qml_l2", "rho": 0.4}],
+    ],
+    ids=["no-penalized", "fixed-rho"],
+)
+def test_tune_needs_a_penalized_strategy(workspace, capsys, strategies):
     root, config = workspace
     raw = yaml.safe_load(config.read_text())
-    raw["strategies"] = ["S-MVP", "EW-MVP", "LW-MVP"]
+    raw["strategies"] = strategies
     config.write_text(yaml.safe_dump(raw))
     assert main(["tune", "--config", str(config)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: no penalized strategies configured; nothing to tune"]
+    assert captured.err.splitlines() == ["error: no strategy has rho: tune; nothing to tune"]
     assert captured.out == ""
     assert not (root / "out").exists()
 
@@ -438,6 +448,9 @@ def test_failing_later_dataset_writes_nothing(workspace, capsys, command):
     cells[3] = "abc"
     lines[5] = ",".join(cells)
     (root / "wide.csv").write_text("\n".join(lines) + "\n")
+    raw = yaml.safe_load(config.read_text())
+    raw["strategies"][-1]["rho"] = "tune"  # so that tune has a strategy to tune
+    config.write_text(yaml.safe_dump(raw))
     assert main([command, "--config", str(config)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
@@ -487,6 +500,9 @@ def test_leading_sentinel_fails_the_dataset(workspace, capsys):
     cells[2] = "-99.99"
     lines[1] = ",".join(cells)
     (root / "wide.csv").write_text("\n".join(lines) + "\n")
+    raw = yaml.safe_load(config.read_text())
+    raw["strategies"][-1]["rho"] = "tune"  # so that tune has a strategy to tune
+    config.write_text(yaml.safe_dump(raw))
     for command in ("describe", "tune", "backtest", "diagnose"):
         assert main([command, "--config", str(config)]) == 1
         captured = capsys.readouterr()
@@ -499,6 +515,8 @@ def test_leading_sentinel_fails_the_dataset(workspace, capsys):
 
 
 def test_tune_and_backtest_write_identical_curves(workspace):
+    # both commands tune the rho: tune strategies and no other: EN's fixed
+    # rho gets no curve and no rho* from either
     root, config = workspace
     raw = yaml.safe_load(config.read_text())
     raw["datasets"] = [d for d in raw["datasets"] if d["name"] == "toy"]
@@ -506,10 +524,13 @@ def test_tune_and_backtest_write_identical_curves(workspace):
         "EW-MVP",
         {"name": "Glasso-MVP", "kind": "qml_l1", "rho": "tune"},
         {"name": "Ridge-MVP", "kind": "qml_l2", "rho": "tune"},
+        {"name": "EN-MVP", "kind": "qml_elastic", "rho": 0.5, "alpha": 0.3},
     ]
     config.write_text(yaml.safe_dump(raw))
     assert main(["tune", "--config", str(config), "--out", str(root / "tuned")]) == 0
     assert main(["backtest", "--config", str(config), "--out", str(root / "tested")]) == 0
+    summary = json.loads((root / "tuned" / "tune.json").read_text())
+    assert sorted(summary["toy"]) == ["Glasso-MVP", "Ridge-MVP"]
     names = ["toy_Glasso-MVP.csv", "toy_Ridge-MVP.csv"]
     for out in ("tuned", "tested"):
         assert sorted(p.name for p in (root / out / "curves").iterdir()) == names
@@ -637,6 +658,10 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         (lambda raw: raw["grid"].update(step=0), "step must be positive"),
         (lambda raw: raw["grid"].update(step=-0.5), "step must be positive"),
         (lambda raw: raw["grid"].update(start=1.0, stop=0.5), "below start"),
+        (
+            lambda raw: raw["datasets"][0].update(date_range=["1995-01", "1990-06"]),
+            "date_range ends before it starts",
+        ),
     ],
     ids=[
         "name-not-a-string",
@@ -669,6 +694,7 @@ def test_unknown_config_key_fails(workspace, capsys, change, key):
         "grid-step-zero",
         "grid-step-negative",
         "grid-stop-below-start",
+        "date_range-reversed",
     ],
 )
 def test_malformed_config_value_is_a_config_error(workspace, capsys, change, key):
@@ -769,6 +795,11 @@ def test_two_pairs_may_not_share_a_curve_file(workspace, capsys, command):
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert all(pair in err[0] for pair in ("('x_y', 'Glasso')", "('x', 'y_Glasso')")), err
     assert sorted(root.rglob("*")) == before
+    # at a fixed rho neither strategy writes a curve, so the same names load
+    raw["strategies"] = [{"name": n, "kind": "qml_l1", "rho": 0.5} for n in ("Glasso", "y_Glasso")]
+    config.write_text(yaml.safe_dump(raw))
+    load_config(config)
+    assert main(["backtest", "--config", str(config)]) == 0
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "set"])

@@ -266,6 +266,13 @@ class TestPenalizedQml:
         with pytest.raises(DegenerateMatrixError):
             penalized_qml(np.zeros((3, 3)), 10, PenaltySpec("l1", 1.0))
 
+    def test_single_observation_rejected(self):
+        with pytest.raises(InsufficientDataError, match="at least 2"):
+            penalized_qml(np.eye(2), 1, PenaltySpec("l1", 0.5))
+
+    def test_indefinite_psi_scores_minus_infinity(self):
+        assert estimators.predictive_loglik(np.diag([1.0, -1.0]), np.eye(2)) == -np.inf
+
     def test_large_l2_rho_drives_diagonal_limit(self, rng):
         s = sample_covariance(synth_returns(60, 5, rng))
         rho = 1e7

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import rand_psd_singular, rand_spd
 from precis import condition_number, invert_spd, sample_covariance, sym_eigen
 from precis.errors import InsufficientDataError, NotPSDError, SingularMatrixError, SymmetryError
+from precis.linalg import check_symmetric
 
 
 class TestSampleCovariance:
@@ -34,6 +35,10 @@ class TestSampleCovariance:
         with pytest.raises(InsufficientDataError):
             sample_covariance(np.array([[1.0, 2.0]]))
 
+    def test_vector_rejected(self):
+        with pytest.raises(InsufficientDataError, match="n x p block"):
+            sample_covariance(np.ones(5))
+
 
 class TestSymEigen:
     def test_identity(self):
@@ -56,6 +61,15 @@ class TestSymEigen:
     def test_rejects_asymmetric(self):
         with pytest.raises(SymmetryError):
             sym_eigen(np.array([[1.0, 2.0], [0.5, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(SymmetryError, match="square"):
+            check_symmetric(np.ones((2, 3)))
+
+    def test_rejects_non_finite(self):
+        # nan, not inf: inf - inf in the symmetry check warns, and a warning fails the test
+        with pytest.raises(SymmetryError, match="non-finite"):
+            sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

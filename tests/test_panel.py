@@ -11,6 +11,7 @@ from precis import ReturnsPanel, describe, parse_panel
 from precis.errors import (
     DegenerateColumnError,
     EmptyPanelError,
+    InsufficientDataError,
     ParseError,
     UnfillableLeadingGapError,
 )
@@ -80,6 +81,19 @@ class TestParse:
     def test_header_only_file_has_no_data_rows(self, date_range, message):
         with pytest.raises(EmptyPanelError, match=message):
             parse_panel("date,A,B\n", date_range=date_range)
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("", EmptyPanelError, "^source is empty$"),
+            ("date,A\n197307,1.0\n", ParseError, "at least 2 asset columns"),
+            ("date,A,B\n197307,1.0,2.0\n", InsufficientDataError, "at least 2 x 2"),
+        ],
+        ids=["empty", "one-asset", "one-row"],
+    )
+    def test_source_too_small_for_a_panel_rejected(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_panel(text)
 
     @pytest.mark.parametrize("header,bad", [("date,A,A", "['A']"), ("date, ,B", "['']")])
     def test_repeated_or_blank_asset_names_rejected(self, header, bad):

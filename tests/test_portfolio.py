@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import rand_psd_singular, rand_spd, synth_returns
 from precis import (
     EigenDecomposition,
+    WeightVector,
     equal_weights,
     invert_spd,
     ledoit_wolf,
@@ -136,6 +137,16 @@ class TestSpectralMvpWeights:
         vecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         with pytest.raises(DegenerateMatrixError, match="numerically zero"):
             mvp_weights(EigenDecomposition(np.array([0.0, 0.5]), vecs))
+
+
+@pytest.mark.parametrize(
+    "weights,message",
+    [([np.nan, 1.0], "non-finite weights"), ([0.5, 0.4], "weights sum to")],
+    ids=["non-finite", "sum-below-one"],
+)
+def test_weight_vector_rejects_invalid_weights(weights, message):
+    with pytest.raises(DegenerateMatrixError, match=message):
+        WeightVector(np.array(weights))
 
 
 class TestEqualWeights:
